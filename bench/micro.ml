@@ -136,8 +136,8 @@ let scale_once ~config ~mode ~n ~seed =
     List.init n (fun node ->
         Apor_overlay.Cluster.routing_kbps c ~node ~t0:window_t0 ~t1:window_t1)
   in
-  (* routing_kbps is kilobytes/s of routing-class traffic; x1000 = bytes/s. *)
-  let routing_bytes_per_node_s = Stats.mean per_node *. 1000. in
+  (* routing_kbps is kilobits/s of routing-class traffic; x125 = bytes/s. *)
+  let routing_bytes_per_node_s = Stats.mean per_node *. 125. in
   let rng = Rng.make ~seed:(seed + 7) in
   let samples = ref [] in
   let wanted = min 400 (n * (n - 1)) in

@@ -18,6 +18,13 @@ dune runtest
 dune exec bench/main.exe -- --only micro --quick --jobs 2 --json /tmp/apor-bench-smoke.json
 rm -f /tmp/apor-bench-smoke.json
 
+# Benchmark determinism: run both simulator workloads of the repository
+# benchmark (perfbench/) twice at one seed in traced mode and fail unless
+# the deterministic fingerprint (events, bytes, datagrams, joins, per-class
+# calls and minor words) repeats exactly, and unless BENCHMARK.json lists
+# the metrics run.py prints.  Builds the worker in .bench_build/.
+python3 perfbench/test_fingerprint.py
+
 # Sim-vs-core golden trace: record one sim-hosted node's inputs/outputs
 # through a churn run and replay them through the bare sans-IO core
 # (test/test_node_core.ml, also part of `dune runtest` above). Run it

@@ -22,6 +22,7 @@ type ctx = {
   view : View.t;
   grid : Grid.t;
   self : Nodeid.t; (* own rank *)
+  servers : Nodeid.t list; (* own default rendezvous servers, announced to every tick *)
   table : Table.t;
   routes : route option array;
   rec_last : float array; (* last recommendation time per destination rank *)
@@ -135,6 +136,7 @@ let set_view t ~now v =
               view = v;
               grid;
               self;
+              servers = Grid.rendezvous_servers grid self;
               table = Table.create ~n:m ~owner:self;
               routes =
                 (match carried_routes with
@@ -491,8 +493,7 @@ let tick t ~now =
       let servers =
         List.fold_left
           (fun acc k -> Nodeid.Set.add k acc)
-          failover_servers
-          (Grid.rendezvous_servers ctx.grid ctx.self)
+          failover_servers ctx.servers
       in
       Nodeid.Set.iter (fun k -> announce_to t ctx ~now k ~epoch ~delta snapshot) servers;
       (* Round two, server role: recommend between every pair of clients
@@ -750,25 +751,36 @@ let best_hop_port t ~now ~dst_port =
               Some (View.port_of_rank ctx.view r.hop)
           | Some _ | None -> (
               (* Section 4.2 fallback: evaluate one-hops through the
-                 neighbours whose tables we hold. *)
+                 neighbours whose tables we hold.  Our own costs come
+                 straight from the monitor, quantized as our announced
+                 snapshot quantizes them, so the choice is the snapshot's;
+                 only the entries the scan reads (dst and the candidate
+                 hops) are filled, and no snapshot is built per datagram. *)
               let metric = t.config.metric in
-              let own = Snapshot.cost_vector (make_snapshot t ctx) metric in
+              let own_cost rank =
+                Metric.cost metric
+                  (Entry.quantize
+                     (Monitor.entry_for t.monitor (View.port_of_rank ctx.view rank)))
+              in
               let m = View.size ctx.view in
+              let cost_from_src = Array.make m infinity in
               let cost_to_dst = Array.make m infinity in
               let hops = ref [] in
               for rank = 0 to m - 1 do
                 if rank <> ctx.self && rank <> dst then begin
                   match Table.fresh_row ctx.table rank ~now ~max_age with
                   | Some row ->
+                      cost_from_src.(rank) <- own_cost rank;
                       cost_to_dst.(rank) <- Snapshot.cost row metric dst;
                       hops := rank :: !hops
                   | None -> ()
                 end
               done;
+              cost_from_src.(dst) <- own_cost dst;
               cost_to_dst.(dst) <- 0.;
               let choice =
-                Best_hop.best_restricted ~src:ctx.self ~dst ~hops:!hops
-                  ~cost_from_src:own ~cost_to_dst
+                Best_hop.best_restricted ~src:ctx.self ~dst ~hops:!hops ~cost_from_src
+                  ~cost_to_dst
               in
               if Float.is_finite choice.Best_hop.cost then
                 Some (View.port_of_rank ctx.view choice.Best_hop.hop)
@@ -825,8 +837,7 @@ let rendezvous_server_ports t =
       let all =
         List.fold_left
           (fun acc k -> Nodeid.Set.add k acc)
-          failover_servers
-          (Grid.rendezvous_servers ctx.grid ctx.self)
+          failover_servers ctx.servers
       in
       Nodeid.Set.elements all |> List.map (View.port_of_rank ctx.view)
 

@@ -1,13 +1,9 @@
 open Apor_util
 
-type t = {
-  n : int;
-  rows : int;
-  cols : int;
-  last_row_length : int;
-  servers : Nodeid.t list array;      (* R_i, sorted ascending *)
-  server_sets : Nodeid.Set.t array;   (* same, as sets, for intersection *)
-}
+(* Four integers are the whole grid.  Every query is arithmetic on the
+   row-major positions [id = row * cols + col], so a node holds O(1) words
+   of quorum state however large the overlay is. *)
+type t = { n : int; rows : int; cols : int; last_row_length : int }
 
 let isqrt n =
   (* floor (sqrt n) computed exactly, avoiding float edge cases *)
@@ -20,78 +16,11 @@ let shape n =
   else if n <= (s * s) + s then ((n + s - 1) / s, s) (* a < 0.5: cols = floor sqrt *)
   else (s + 1, s + 1) (* a >= 0.5: square ceil grid *)
 
-let position_of ~cols id = (id / cols, id mod cols)
-
-let node_at_raw ~n ~rows ~cols ~row ~col =
-  if row < 0 || col < 0 || row >= rows || col >= cols then None
-  else begin
-    let id = (row * cols) + col in
-    if id < n then Some id else None
-  end
-
-(* The paper's extra assignments: when the last row holds only [k < cols]
-   nodes, pair the last-row node of column [c] with every existing node
-   [(c, j)] for [j >= k] — those upper-right nodes lost their column's
-   last-row member.  Valid only when row index [c] is itself a complete row
-   (c <= rows - 2); the cover property holds regardless (see Grid doc). *)
-let extra_partners ~n ~rows ~cols ~k ~row ~col =
-  if k >= cols then []
-  else if row = rows - 1 then begin
-    if col > rows - 2 then []
-    else begin
-      let rec collect j acc =
-        if j >= cols then List.rev acc
-        else begin
-          match node_at_raw ~n ~rows ~cols ~row:col ~col:j with
-          | Some id -> collect (j + 1) (id :: acc)
-          | None -> collect (j + 1) acc
-        end
-      in
-      collect k []
-    end
-  end
-  else if col >= k && row < k then begin
-    match node_at_raw ~n ~rows ~cols ~row:(rows - 1) ~col:row with
-    | Some id -> [ id ]
-    | None -> []
-  end
-  else []
-
 let build n =
   if n < 1 || n > Nodeid.max_nodes then
     invalid_arg "Grid.build: n outside [1, Nodeid.max_nodes]";
   let rows, cols = shape n in
-  let k = n - ((rows - 1) * cols) in
-  let servers = Array.make n [] in
-  let server_sets = Array.make n Nodeid.Set.empty in
-  for id = 0 to n - 1 do
-    let row, col = position_of ~cols id in
-    let add acc other = if other = id then acc else Nodeid.Set.add other acc in
-    let in_row =
-      List.fold_left
-        (fun acc c ->
-          match node_at_raw ~n ~rows ~cols ~row ~col:c with
-          | Some other -> add acc other
-          | None -> acc)
-        Nodeid.Set.empty
-        (List.init cols Fun.id)
-    in
-    let in_row_col =
-      List.fold_left
-        (fun acc r ->
-          match node_at_raw ~n ~rows ~cols ~row:r ~col with
-          | Some other -> add acc other
-          | None -> acc)
-        in_row
-        (List.init rows Fun.id)
-    in
-    let with_extras =
-      List.fold_left add in_row_col (extra_partners ~n ~rows ~cols ~k ~row ~col)
-    in
-    server_sets.(id) <- with_extras;
-    servers.(id) <- Nodeid.Set.elements with_extras
-  done;
-  { n; rows; cols; last_row_length = k; servers; server_sets }
+  { n; rows; cols; last_row_length = n - ((rows - 1) * cols) }
 
 let size t = t.n
 let rows t = t.rows
@@ -104,9 +33,14 @@ let check_id t id =
 
 let position t id =
   check_id t id;
-  position_of ~cols:t.cols id
+  (id / t.cols, id mod t.cols)
 
-let node_at t ~row ~col = node_at_raw ~n:t.n ~rows:t.rows ~cols:t.cols ~row ~col
+let node_at t ~row ~col =
+  if row < 0 || col < 0 || row >= t.rows || col >= t.cols then None
+  else begin
+    let id = (row * t.cols) + col in
+    if id < t.n then Some id else None
+  end
 
 let row_members t row =
   List.filter_map (fun col -> node_at t ~row ~col) (List.init t.cols Fun.id)
@@ -114,33 +48,122 @@ let row_members t row =
 let col_members t col =
   List.filter_map (fun row -> node_at t ~row ~col) (List.init t.rows Fun.id)
 
+(* Occupied cells of row [r] and of column [c]. *)
+let row_length t r = if r = t.rows - 1 then t.last_row_length else t.cols
+let col_height t c = if c < t.last_row_length then t.rows else t.rows - 1
+
+(* The paper's extra assignments, one direction: [a] is the last-row node
+   of column [c], and [b] sits in complete row [c] at a column [j >= k]
+   beyond the last row's end — a node that lost its column's last-row
+   member to a blank cell.  Never true on a complete grid ([j < cols]). *)
+let extra_pair t a b =
+  let last = t.rows - 1 in
+  a / t.cols = last
+  &&
+  let c = a mod t.cols in
+  c < last && b / t.cols = c && b mod t.cols >= t.last_row_length
+
+(* [is_rendezvous_for] on ids already known to be in range. *)
+let serves t server client =
+  server <> client
+  && (server / t.cols = client / t.cols
+     || server mod t.cols = client mod t.cols
+     || (t.last_row_length < t.cols
+        && (extra_pair t server client || extra_pair t client server)))
+
+(* Calls [f] on every server of [id] in descending order, so consing the
+   calls yields the ascending list.  It walks [id]'s column from the
+   bottom: first the last-row partner of an upper-right node (the largest
+   id), then each column-mate, expanding [id]'s own row in place and, for
+   a last-row [id] in column [c], row [c]'s extra partners just before
+   row [c]'s column-mate (they lie between it and row [c + 1]'s). *)
+let iter_servers_desc t id f =
+  let cols = t.cols and k = t.last_row_length and last = t.rows - 1 in
+  let r = id / cols and c = id mod cols in
+  if r < last && c >= k && r < k then f ((last * cols) + r);
+  for i = col_height t c - 1 downto 0 do
+    if i = r then
+      for j = row_length t r - 1 downto 0 do
+        if j <> c then f ((r * cols) + j)
+      done
+    else begin
+      if r = last && i = c then
+        for j = cols - 1 downto k do
+          f ((c * cols) + j)
+        done;
+      f ((i * cols) + c)
+    end
+  done
+
+(* The extra partners of [id], in no particular order. *)
+let iter_extras t id f =
+  let cols = t.cols and k = t.last_row_length and last = t.rows - 1 in
+  let r = id / cols and c = id mod cols in
+  if r = last then begin
+    if c < last then
+      for j = k to cols - 1 do
+        f ((c * cols) + j)
+      done
+  end
+  else if c >= k && r < k then f ((last * cols) + r)
+
 let rendezvous_servers t id =
   check_id t id;
-  t.servers.(id)
+  let acc = ref [] in
+  iter_servers_desc t id (fun s -> acc := s :: !acc);
+  !acc
 
 let rendezvous_clients = rendezvous_servers
 
 let is_rendezvous_for t ~server ~client =
   check_id t server;
   check_id t client;
-  Nodeid.Set.mem server t.server_sets.(client)
+  serves t server client
 
+(* Off a shared row or column, a common server of [i] and [j] lies in
+   [i]'s row and [j]'s column (crossing cell [(r_i, c_j)]), in [i]'s
+   column and [j]'s row (crossing cell [(r_j, c_i)]), or is an extra
+   partner of one of the pair; rows and columns of distinct lines do not
+   meet otherwise.  On a shared line the common servers are the rest of
+   that line plus extras, O(sqrt n) of them, so one side's servers are
+   filtered instead. *)
 let common_rendezvous t i j =
   check_id t i;
   check_id t j;
-  Nodeid.Set.elements (Nodeid.Set.inter t.server_sets.(i) t.server_sets.(j))
+  let cols = t.cols in
+  let ri = i / cols and ci = i mod cols and rj = j / cols and cj = j mod cols in
+  let acc = ref [] in
+  if ri = rj || ci = cj then begin
+    iter_servers_desc t i (fun s -> if serves t s j then acc := s :: !acc);
+    !acc
+  end
+  else begin
+    let add = function Some s -> acc := s :: !acc | None -> () in
+    add (node_at t ~row:ri ~col:cj);
+    add (node_at t ~row:rj ~col:ci);
+    if t.last_row_length < cols then begin
+      iter_extras t i (fun e -> if serves t e j then acc := e :: !acc);
+      iter_extras t j (fun e -> if serves t e i then acc := e :: !acc)
+    end;
+    List.sort_uniq Int.compare !acc
+  end
 
+let rec insert x = function
+  | y :: rest when y < x -> y :: insert x rest
+  | l -> x :: l
+
+(* The relation is symmetric, so [i] serves [j] exactly when [j] serves
+   [i]; neither is its own server, so neither is already in [common]. *)
 let connecting t i j =
-  let common = Nodeid.Set.inter t.server_sets.(i) t.server_sets.(j) in
-  let common =
-    if Nodeid.Set.mem i t.server_sets.(j) then Nodeid.Set.add i common else common
-  in
-  let common =
-    if Nodeid.Set.mem j t.server_sets.(i) then Nodeid.Set.add j common else common
-  in
-  Nodeid.Set.elements common
+  let common = common_rendezvous t i j in
+  if serves t i j then insert i (insert j common) else common
 
 let failover_candidates t ~dst = rendezvous_servers t dst
+
+let degree t id =
+  let d = ref 0 in
+  iter_servers_desc t id (fun _ -> incr d);
+  !d
 
 (* Which survivors of a membership change keep their rendezvous geometry?
    [map.(r)] is the old rank of the node now at rank [r] (None = joiner).
@@ -149,36 +172,40 @@ let failover_candidates t ~dst = rendezvous_servers t dst
    the same set of *nodes* in both grids: every new server maps to an old
    rank, and those old ranks are exactly the old server set.  Joiners and
    survivors whose row/column composition shifted get None — their state
-   must be rebuilt from scratch. *)
+   must be rebuilt from scratch.  Set equality is checked without building
+   sets: every mapped server must serve the old rank in [prev], and the
+   distinct ones (stamped in [seen]) must be as many as its old degree. *)
 let remap ~prev ~next ~map =
   if Array.length map <> next.n then
     invalid_arg "Grid.remap: map length differs from next grid size";
+  Array.iter
+    (function
+      | Some old_r when old_r < 0 || old_r >= prev.n ->
+          invalid_arg "Grid.remap: mapped rank out of range for prev grid"
+      | Some _ | None -> ())
+    map;
+  let seen = Array.make prev.n (-1) in
   Array.mapi
     (fun r old ->
       match old with
       | None -> None
       | Some old_r ->
-          if old_r < 0 || old_r >= prev.n then
-            invalid_arg "Grid.remap: mapped rank out of range for prev grid";
-          let mapped_servers =
-            List.fold_left
-              (fun acc s ->
-                match acc with
-                | None -> None
-                | Some set -> (
-                    match map.(s) with
-                    | Some old_s -> Some (Nodeid.Set.add old_s set)
-                    | None -> None (* a joiner entered the quorum *)))
-              (Some Nodeid.Set.empty)
-              next.servers.(r)
-          in
-          (match mapped_servers with
-          | Some set when Nodeid.Set.equal set prev.server_sets.(old_r) -> Some old_r
-          | Some _ | None -> None))
+          let same = ref true and distinct = ref 0 in
+          iter_servers_desc next r (fun s ->
+              match map.(s) with
+              | Some old_s when serves prev old_s old_r ->
+                  if seen.(old_s) <> r then begin
+                    seen.(old_s) <- r;
+                    incr distinct
+                  end
+              | Some _ | None -> same := false (* a joiner entered the quorum *));
+          if !same && !distinct = degree prev old_r then Some old_r else None)
     map
 
-let max_rendezvous_degree t =
-  Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.servers
+(* Node 0's row and column are both full, and an extra assignment only
+   ever stands in for a column-mate or row-mate its holder lost to a blank
+   cell, so no node exceeds node 0's degree. *)
+let max_rendezvous_degree t = t.rows + t.cols - 2
 
 let verify t =
   let ( let* ) r f = Result.bind r f in
@@ -189,9 +216,9 @@ let verify t =
     for i = 0 to t.n - 1 do
       List.iter
         (fun s ->
-          if not (Nodeid.Set.mem i t.server_sets.(s)) then
+          if not (is_rendezvous_for t ~server:i ~client:s) then
             if !asymmetric = None then asymmetric := Some (i, s))
-        t.servers.(i)
+        (rendezvous_servers t i)
     done;
     match !asymmetric with
     | Some (i, s) -> fail "asymmetric assignment: %d serves %d but not conversely" s i
@@ -209,10 +236,14 @@ let verify t =
     | Some (i, j) -> fail "pair (%d, %d) has no connecting rendezvous node" i j
     | None -> Ok ()
   in
-  (* balance: Theorem 1's 2 * ceil(sqrt n) bound on degree *)
+  (* balance: Theorem 1's 2 * ceil(sqrt n) bound on degree, counted from
+     the server lists rather than taken from the closed form *)
   let bound = 2 * t.rows in
-  if max_rendezvous_degree t > bound then
-    fail "rendezvous degree %d exceeds 2*rows = %d" (max_rendezvous_degree t) bound
+  let worst = ref 0 in
+  for i = 0 to t.n - 1 do
+    worst := max !worst (List.length (rendezvous_servers t i))
+  done;
+  if !worst > bound then fail "rendezvous degree %d exceeds 2*rows = %d" !worst bound
   else Ok ()
 
 let pp ppf t =

@@ -18,7 +18,25 @@
     - cover: for every pair [i <> j], [common_rendezvous t i j] is non-empty
       or one of the pair is a rendezvous server of the other;
     - double redundancy for all pairs whose two crossing positions exist;
-    - balance: every node has at most [2 * ceil (sqrt n)] servers/clients. *)
+    - balance: every node has at most [2 * ceil (sqrt n)] servers/clients.
+
+    Representation: a grid is the four integers [n], [rows], [cols] and
+    [last_row_length] — O(1) words whatever [n] — and every query is
+    arithmetic on row-major positions ([id = row * cols + col]).  Nothing
+    is tabulated, so [build] costs O(1) and a node holding one grid per
+    view pays nothing for it beyond its own routing state.  Query costs,
+    with [d = rows + cols = O(sqrt n)] the rendezvous degree:
+    - [build], [position], [node_at], [max_rendezvous_degree]: O(1);
+    - [is_rendezvous_for]: O(1) and allocation-free — a same-row or
+      same-column test, plus the extra-assignment test only on an
+      incomplete grid;
+    - [rendezvous_servers], [failover_candidates]: O(d), allocating just
+      the result list;
+    - [common_rendezvous], [connecting]: O(1) plus the extras of the pair
+      when [i] and [j] share neither row nor column (the two crossing
+      cells, and at most [cols - last_row_length] extra partners), O(d) when
+      they share one;
+    - [remap]: O(size next * d), with one [size prev] scratch array. *)
 
 open Apor_util
 

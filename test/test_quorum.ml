@@ -187,6 +187,203 @@ let symmetry_property =
       done;
       !ok)
 
+(* --- Closed form against the tabulated reference ----------------------------- *)
+
+(* The table-building construction [Grid] used before it answered queries
+   by arithmetic: every node's server list and server set, built
+   cell by cell from the paper's row/column rule and its extra
+   assignments, with every query a lookup or a set operation.  Kept here
+   as the reference the closed form must agree with exactly.  It takes the
+   grid's shape from [Grid], whose shape tests are above. *)
+module Reference = struct
+  type t = { servers : Nodeid.t list array; server_sets : Nodeid.Set.t array }
+
+  let build n =
+    let g = Grid.build n in
+    let rows = Grid.rows g and cols = Grid.cols g in
+    let k = Grid.last_row_length g in
+    let node_at ~row ~col =
+      if row < 0 || col < 0 || row >= rows || col >= cols then None
+      else begin
+        let id = (row * cols) + col in
+        if id < n then Some id else None
+      end
+    in
+    let extra_partners ~row ~col =
+      if k >= cols then []
+      else if row = rows - 1 then begin
+        if col > rows - 2 then []
+        else List.filter_map (fun j -> node_at ~row:col ~col:j) (List.init (cols - k) (( + ) k))
+      end
+      else if col >= k && row < k then Option.to_list (node_at ~row:(rows - 1) ~col:row)
+      else []
+    in
+    let server_sets =
+      Array.init n (fun id ->
+          let row = id / cols and col = id mod cols in
+          let add acc other = if other = id then acc else Nodeid.Set.add other acc in
+          let add_cell acc cell = Option.fold ~none:acc ~some:(add acc) cell in
+          let in_row =
+            List.fold_left
+              (fun acc c -> add_cell acc (node_at ~row ~col:c))
+              Nodeid.Set.empty (List.init cols Fun.id)
+          in
+          let in_row_col =
+            List.fold_left
+              (fun acc r -> add_cell acc (node_at ~row:r ~col))
+              in_row (List.init rows Fun.id)
+          in
+          List.fold_left add in_row_col (extra_partners ~row ~col))
+    in
+    { servers = Array.map Nodeid.Set.elements server_sets; server_sets }
+
+  let is_rendezvous_for t ~server ~client = Nodeid.Set.mem server t.server_sets.(client)
+
+  let common_rendezvous t i j =
+    Nodeid.Set.elements (Nodeid.Set.inter t.server_sets.(i) t.server_sets.(j))
+
+  let connecting t i j =
+    let common = Nodeid.Set.inter t.server_sets.(i) t.server_sets.(j) in
+    let common =
+      if Nodeid.Set.mem i t.server_sets.(j) then Nodeid.Set.add i common else common
+    in
+    let common =
+      if Nodeid.Set.mem j t.server_sets.(i) then Nodeid.Set.add j common else common
+    in
+    Nodeid.Set.elements common
+
+  let remap ~prev ~next ~map =
+    Array.mapi
+      (fun r old ->
+        match old with
+        | None -> None
+        | Some old_r ->
+            let mapped =
+              List.fold_left
+                (fun acc s ->
+                  match (acc, map.(s)) with
+                  | Some set, Some old_s -> Some (Nodeid.Set.add old_s set)
+                  | _, None | None, _ -> None)
+                (Some Nodeid.Set.empty) next.servers.(r)
+            in
+            (match mapped with
+            | Some set when Nodeid.Set.equal set prev.server_sets.(old_r) -> Some old_r
+            | Some _ | None -> None))
+      map
+
+  let max_rendezvous_degree t =
+    Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.servers
+end
+
+(* Per-node and per-pair queries of the closed form equal the reference's;
+   [pairs] picks the pairs to compare (all of them for small n).  Compared
+   with [=] and reported only on a mismatch: millions of pairs are checked. *)
+let agrees_with_reference ~pairs n =
+  let g = Grid.build n and r = Reference.build n in
+  let show l = String.concat "," (List.map string_of_int l) in
+  let same_list what expected got =
+    if expected <> got then
+      Alcotest.failf "n=%d %s: closed form [%s], reference [%s]" n (what ()) (show got)
+        (show expected)
+  in
+  check_int (Printf.sprintf "n=%d max degree" n) (Reference.max_rendezvous_degree r)
+    (Grid.max_rendezvous_degree g);
+  for i = 0 to n - 1 do
+    let what () = Printf.sprintf "servers of %d" i in
+    same_list what r.servers.(i) (Grid.rendezvous_servers g i);
+    same_list what r.servers.(i) (Grid.rendezvous_clients g i);
+    same_list what r.servers.(i) (Grid.failover_candidates g ~dst:i)
+  done;
+  List.iter
+    (fun (i, j) ->
+      if Reference.is_rendezvous_for r ~server:i ~client:j
+         <> Grid.is_rendezvous_for g ~server:i ~client:j
+      then Alcotest.failf "n=%d: is_rendezvous_for ~server:%d ~client:%d differs" n i j;
+      same_list (fun () -> Printf.sprintf "common (%d,%d)" i j)
+        (Reference.common_rendezvous r i j) (Grid.common_rendezvous g i j);
+      same_list (fun () -> Printf.sprintf "connecting (%d,%d)" i j)
+        (Reference.connecting r i j) (Grid.connecting g i j))
+    (pairs n)
+
+let all_pairs n = List.concat_map (fun i -> List.init n (fun j -> (i, j))) (List.init n Fun.id)
+
+let test_closed_form_every_n () =
+  for n = 1 to 200 do
+    agrees_with_reference ~pairs:all_pairs n
+  done
+
+let closed_form_large_n =
+  QCheck.Test.make ~name:"closed form = reference, random n up to 1024" ~count:25
+    QCheck.(pair (int_range 1 1024) int)
+    (fun (n, seed) ->
+      let rng = Rng.make ~seed in
+      let pairs n =
+        List.init 3000 (fun _ -> (Rng.int rng n, Rng.int rng n))
+        @ List.init n (fun i -> (i, n - 1 - i))
+      in
+      agrees_with_reference ~pairs n;
+      true)
+
+(* A rank map as [View.rank_map] draws it: [prev] members leave at random,
+   joiners enter at random positions, survivors keep their order. *)
+let view_like_map rng ~prev_n =
+  let survivors = List.filter (fun _ -> Rng.int rng 8 <> 0) (List.init prev_n Fun.id) in
+  let rec interleave acc = function
+    | [] when Rng.int rng 3 = 0 -> interleave (None :: acc) []
+    | [] -> List.rev acc
+    | s :: rest when Rng.int rng 6 = 0 -> interleave (None :: acc) (s :: rest)
+    | s :: rest -> interleave (Some s :: acc) rest
+  in
+  match interleave [] survivors with [] -> [| None |] | l -> Array.of_list l
+
+(* Any partial injective map: survivors land on random ranks. *)
+let scrambled_map rng ~prev_n =
+  let next_n = 1 + Rng.int rng (prev_n + 8) in
+  let old = Array.init prev_n Fun.id in
+  for i = prev_n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = old.(i) in
+    old.(i) <- old.(j);
+    old.(j) <- x
+  done;
+  Array.init next_n (fun r -> if r < prev_n && Rng.int rng 5 <> 0 then Some old.(r) else None)
+
+let remap_matches_reference =
+  QCheck.Test.make ~name:"remap = reference on random survivor/joiner maps" ~count:300
+    QCheck.(pair (int_range 1 300) int)
+    (fun (prev_n, seed) ->
+      let rng = Rng.make ~seed in
+      let map =
+        match Rng.int rng 3 with
+        | 0 -> Array.init prev_n (fun r -> Some r)
+        | 1 -> view_like_map rng ~prev_n
+        | _ -> scrambled_map rng ~prev_n
+      in
+      let next_n = Array.length map in
+      let expected =
+        Reference.remap ~prev:(Reference.build prev_n) ~next:(Reference.build next_n) ~map
+      in
+      let got = Grid.remap ~prev:(Grid.build prev_n) ~next:(Grid.build next_n) ~map in
+      if expected <> got then
+        QCheck.Test.fail_reportf "prev_n=%d next_n=%d: kept %d, reference kept %d" prev_n
+          next_n
+          (Array.fold_left (fun a o -> if o = None then a else a + 1) 0 got)
+          (Array.fold_left (fun a o -> if o = None then a else a + 1) 0 expected);
+      true)
+
+let test_remap_rejects_bad_maps () =
+  let prev = Grid.build 9 and next = Grid.build 4 in
+  Alcotest.check_raises "length"
+    (Invalid_argument "Grid.remap: map length differs from next grid size") (fun () ->
+      ignore (Grid.remap ~prev ~next ~map:(Array.make 3 None)));
+  Alcotest.check_raises "range"
+    (Invalid_argument "Grid.remap: mapped rank out of range for prev grid") (fun () ->
+      ignore (Grid.remap ~prev ~next ~map:[| None; Some 9; None; None |]))
+
+let test_grid_is_constant_size () =
+  let words n = Obj.reachable_words (Obj.repr (Grid.build n)) in
+  check_int "words at n=16 and n=4096" (words 16) (words 4096)
+
 (* --- The oracle's static intersection check (lib/trace) -------------------- *)
 
 let oracle_cover_property =
@@ -400,6 +597,14 @@ let () =
           qcheck symmetry_property;
           qcheck oracle_cover_property;
           Alcotest.test_case "cover width >= 1 everywhere" `Quick test_cover_width_every_pair;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "= reference, every n in [1,200]" `Slow test_closed_form_every_n;
+          qcheck closed_form_large_n;
+          qcheck remap_matches_reference;
+          Alcotest.test_case "remap rejects bad maps" `Quick test_remap_rejects_bad_maps;
+          Alcotest.test_case "O(1) words" `Quick test_grid_is_constant_size;
         ] );
       ( "system",
         [
