@@ -385,7 +385,13 @@ let scaling ?json ~quick ~jobs ~seed () =
       write_json ~path ~seed ~jobs ~runs ~oracle ~dataplane ~membership;
       Printf.printf "\nwrote %s\n" path)
 
+(* The scaling sweep runs before the Bechamel kernels: Bechamel forces
+   thousands of major collections to stabilize its measurements, after
+   which OCaml 5.1's major-GC pacing lags allocation for the rest of the
+   process — the sweep's heap then grew several-fold (past 4.7 GB by the
+   n = 400 full-table point, against 0.5 GB for that point alone). *)
 let run ?json ?(jobs = 1) ~quick ~seed () =
+  scaling ?json ~quick ~jobs ~seed ();
   section "Microbenchmarks (Bechamel, monotonic clock)";
   let tests =
     Test.make_grouped ~name:"apor"
@@ -416,5 +422,4 @@ let run ?json ?(jobs = 1) ~quick ~seed () =
     (fun (name, estimate, r2) ->
       Texttable.add_row table [ name; human estimate; Printf.sprintf "%.3f" r2 ])
     (List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !rows);
-  Texttable.print table;
-  scaling ?json ~quick ~jobs ~seed ()
+  Texttable.print table

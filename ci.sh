@@ -15,7 +15,11 @@ dune runtest
 # Bench smoke: the quick scaling sweep on 2 domains exercises the
 # calendar-queue engine, the parallel sweep runner and the JSON writer
 # end to end (the oracle run inside it must report zero violations).
+# Its n=49 and n=144 rows must then match BENCH_core.json exactly on the
+# fields a seed fixes (routing bytes, recommendation latency, events,
+# max_pending, drops); check_core.py names any row and field that moved.
 dune exec bench/main.exe -- --only micro --quick --jobs 2 --json /tmp/apor-bench-smoke.json
+python3 bench/check_core.py /tmp/apor-bench-smoke.json BENCH_core.json
 rm -f /tmp/apor-bench-smoke.json
 
 # Benchmark determinism: run both simulator workloads of the repository

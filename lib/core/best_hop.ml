@@ -28,21 +28,6 @@ let best ~src ~dst ~cost_from_src ~cost_to_dst =
   done;
   !best
 
-(* Plain tail-recursive loop: the Section 4.2 fallback runs this per data
-   packet when recommendations are stale, so it must not allocate. *)
-let best_restricted ~src ~dst ~hops ~cost_from_src ~cost_to_dst =
-  check ~src ~dst ~cost_from_src ~cost_to_dst;
-  let rec go hop cost = function
-    | [] -> { hop; cost }
-    | h :: rest ->
-        if h = src || h = dst then go hop cost rest
-        else begin
-          let c = cost_from_src.(h) +. cost_to_dst.(h) in
-          if c < cost then go h c rest else go hop cost rest
-        end
-  in
-  go dst cost_from_src.(dst) hops
-
 let brute_force_cost m src dst =
   let choice =
     best ~src ~dst ~cost_from_src:(Costmat.row m src) ~cost_to_dst:(Costmat.column m dst)
@@ -69,21 +54,37 @@ module Cache = struct
     mutable rescans : int;
   }
 
+  (* Each owner holding a vector has a dense slot; the winner of pair
+     (src, dst) lives at index [slot src * cap + slot dst] of two flat
+     [cap * cap] arrays, [hop] (-1: not cached) and unboxed [cost].  An
+     owner's cached pairs are exactly its slot's row and column, so no
+     dependency index is kept. *)
   type t = {
     n : int;
     vectors : float array option array;
-    pairs : (int, choice) Hashtbl.t; (* src * n + dst -> cached best *)
-    deps : (int, unit) Hashtbl.t array; (* node -> keys of cached pairs using it *)
+    slot : int array; (* owner -> slot, -1 when it holds no vector *)
+    mutable owner_of : int array; (* slot -> owner, -1 when free *)
+    mutable cap : int;
+    mutable hop : int array;
+    mutable cost : float array;
     stats : stats;
   }
 
+  (* A rendezvous server's vectors are its ~2 sqrt n clients plus itself,
+     so that is the starting width; failover clients grow it. *)
+  let initial_cap n = min n ((2 * int_of_float (Float.sqrt (float_of_int n))) + 2)
+
   let create ~n =
     if n < 2 then invalid_arg "Best_hop.Cache.create: n must be at least 2";
+    let cap = initial_cap n in
     {
       n;
       vectors = Array.make n None;
-      pairs = Hashtbl.create 64;
-      deps = Array.init n (fun _ -> Hashtbl.create 8);
+      slot = Array.make n (-1);
+      owner_of = Array.make cap (-1);
+      cap;
+      hop = Array.make (cap * cap) (-1);
+      cost = Array.make (cap * cap) infinity;
       stats = { hits = 0; misses = 0; updates = 0; rescans = 0 };
     }
 
@@ -94,25 +95,61 @@ module Cache = struct
   let check_owner t owner =
     if owner < 0 || owner >= t.n then invalid_arg "Best_hop.Cache: owner out of range"
 
-  (* The dropped pair keys also linger in the deps sets of their *other*
-     endpoint; those are swept lazily when that endpoint next updates.
-     Resetting this owner's own set keeps repeated [set_vector]s (the
-     full-snapshot ingest path) from re-walking an ever-growing set. *)
+  (* Widen by half (capped at n, which always suffices) and copy the
+     cached pairs to their new positions. *)
+  let grow t =
+    let cap = t.cap and cap' = min t.n (t.cap + max 1 (t.cap / 2)) in
+    let hop = Array.make (cap' * cap') (-1) and cost = Array.make (cap' * cap') infinity in
+    for s = 0 to cap - 1 do
+      Array.blit t.hop (s * cap) hop (s * cap') cap;
+      Array.blit t.cost (s * cap) cost (s * cap') cap
+    done;
+    let owner_of = Array.make cap' (-1) in
+    Array.blit t.owner_of 0 owner_of 0 cap;
+    t.cap <- cap';
+    t.hop <- hop;
+    t.cost <- cost;
+    t.owner_of <- owner_of
+
+  (* The lowest free slot, growing the arrays when every slot is taken. *)
+  let assign_slot t owner =
+    if t.slot.(owner) < 0 then begin
+      let s = ref 0 in
+      while !s < t.cap && t.owner_of.(!s) >= 0 do
+        incr s
+      done;
+      if !s = t.cap then grow t;
+      t.slot.(owner) <- !s;
+      t.owner_of.(!s) <- owner
+    end
+
+  (* Forget every cached pair that involves [owner]: its slot's row and
+     column. *)
   let invalidate_pairs t owner =
-    Hashtbl.iter (fun key () -> Hashtbl.remove t.pairs key) t.deps.(owner);
-    Hashtbl.reset t.deps.(owner)
+    let s = t.slot.(owner) in
+    if s >= 0 then
+      for k = 0 to t.cap - 1 do
+        t.hop.((s * t.cap) + k) <- -1;
+        t.hop.((k * t.cap) + s) <- -1
+      done
 
   let set_vector t owner v =
     check_owner t owner;
     if Array.length v <> t.n then
       invalid_arg "Best_hop.Cache.set_vector: vector length differs from n";
     t.vectors.(owner) <- Some v;
+    assign_slot t owner;
     invalidate_pairs t owner
 
   let drop_vector t owner =
     check_owner t owner;
     t.vectors.(owner) <- None;
-    invalidate_pairs t owner
+    invalidate_pairs t owner;
+    let s = t.slot.(owner) in
+    if s >= 0 then begin
+      t.slot.(owner) <- -1;
+      t.owner_of.(s) <- -1
+    end
 
   let required_vector t owner =
     match t.vectors.(owner) with
@@ -121,47 +158,50 @@ module Cache = struct
 
   let best t ~src ~dst =
     let from_src = required_vector t src and to_dst = required_vector t dst in
-    let key = (src * t.n) + dst in
-    match Hashtbl.find_opt t.pairs key with
-    | Some choice ->
-        t.stats.hits <- t.stats.hits + 1;
-        choice
-    | None ->
-        t.stats.misses <- t.stats.misses + 1;
-        let choice = scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst in
-        Hashtbl.replace t.pairs key choice;
-        Hashtbl.replace t.deps.(src) key ();
-        Hashtbl.replace t.deps.(dst) key ();
-        choice
+    let k = (t.slot.(src) * t.cap) + t.slot.(dst) in
+    let hop = t.hop.(k) in
+    if hop >= 0 then begin
+      t.stats.hits <- t.stats.hits + 1;
+      { hop; cost = t.cost.(k) }
+    end
+    else begin
+      t.stats.misses <- t.stats.misses + 1;
+      let choice = scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst in
+      t.hop.(k) <- choice.hop;
+      t.cost.(k) <- choice.cost;
+      choice
+    end
 
   (* Scan order of a candidate within the canonical scan: the direct path
      (hop = dst) comes before every intermediary. *)
   let order ~dst hop = if hop = dst then -1 else hop
 
-  (* Repair one cached pair against a batch of changed hop ids.  Runs once
-     per dependent pair per ingested announcement — the inner loop of the
-     incremental path — so it takes the incumbent it was found with (no
-     second table lookup), scans a plain int array and folds with local
-     refs instead of list closures. *)
-  let update_pair t ~src ~dst key incumbent (changed : int array) =
+  (* Repair cached pair [k] = (src, dst) against a batch of changed hop
+     ids.  Runs once per dependent pair per ingested announcement — the
+     inner loop of the incremental path — so it reads the incumbent
+     straight from the flat arrays, scans a plain int array and folds
+     with local refs instead of list closures. *)
+  let update_pair t ~src ~dst k (changed : int array) =
     let from_src = required_vector t src and to_dst = required_vector t dst in
     let cand_cost h = if h = dst then from_src.(dst) else from_src.(h) +. to_dst.(h) in
+    let hop = t.hop.(k) in
     let affected = ref false in
     for i = 0 to Array.length changed - 1 do
-      if changed.(i) = incumbent.hop then affected := true
+      if changed.(i) = hop then affected := true
     done;
     let affected = !affected in
-    if affected && cand_cost incumbent.hop > incumbent.cost then begin
+    if affected && cand_cost hop > t.cost.(k) then begin
       (* The incumbent got worse: any of the n candidates may now win,
          so this pair pays the full scan. *)
       t.stats.rescans <- t.stats.rescans + 1;
-      Hashtbl.replace t.pairs key
-        (scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst)
+      let choice = scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst in
+      t.hop.(k) <- choice.hop;
+      t.cost.(k) <- choice.cost
     end
     else begin
       t.stats.updates <- t.stats.updates + 1;
-      let best_hop = ref incumbent.hop in
-      let best_cost = ref (if affected then cand_cost incumbent.hop else incumbent.cost) in
+      let best_hop = ref hop in
+      let best_cost = ref (if affected then cand_cost hop else t.cost.(k)) in
       for i = 0 to Array.length changed - 1 do
         let h = changed.(i) in
         if h <> src then begin
@@ -173,8 +213,8 @@ module Cache = struct
           end
         end
       done;
-      if !best_hop <> incumbent.hop || !best_cost <> incumbent.cost then
-        Hashtbl.replace t.pairs key { hop = !best_hop; cost = !best_cost }
+      t.hop.(k) <- !best_hop;
+      t.cost.(k) <- !best_cost
     end
 
   (* Carry surviving vectors across a membership change.  [map.(r)] names
@@ -205,7 +245,8 @@ module Cache = struct
                 | Some oldj -> v'.(j) <- v.(oldj)
                 | None -> ()
               done;
-              fresh.vectors.(r) <- Some v')
+              fresh.vectors.(r) <- Some v';
+              assign_slot fresh r)
     done;
     fresh
 
@@ -231,23 +272,16 @@ module Cache = struct
              either way: a miss reruns the canonical scan. *)
           invalidate_pairs t owner
         else begin
-          let deps = t.deps.(owner) in
-          (* Snapshot the keys: [update_pair] replaces bindings in [pairs],
-             and stale keys (whose pair a [set_vector] on the other endpoint
-             invalidated) are swept from [deps] as they are encountered. *)
-          let keys = Array.make (Hashtbl.length deps) 0 in
-          let k = ref 0 in
-          Hashtbl.iter
-            (fun key () ->
-              keys.(!k) <- key;
-              incr k)
-            deps;
-          for i = 0 to Array.length keys - 1 do
-            let key = keys.(i) in
-            match Hashtbl.find_opt t.pairs key with
-            | None -> Hashtbl.remove deps key
-            | Some incumbent ->
-                update_pair t ~src:(key / t.n) ~dst:(key mod t.n) key incumbent changed
+          (* The owner's cached pairs: its row (owner as src) and its
+             column (owner as dst); the diagonal is never cached. *)
+          let s = t.slot.(owner) and cap = t.cap in
+          for d = 0 to cap - 1 do
+            let k = (s * cap) + d in
+            if t.hop.(k) >= 0 then update_pair t ~src:owner ~dst:t.owner_of.(d) k changed
+          done;
+          for r = 0 to cap - 1 do
+            let k = (r * cap) + s in
+            if t.hop.(k) >= 0 then update_pair t ~src:t.owner_of.(r) ~dst:owner k changed
           done
         end
 end

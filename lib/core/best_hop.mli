@@ -32,18 +32,6 @@ val best :
     @raise Invalid_argument when the vectors' lengths differ or [src],
     [dst] are out of range or equal. *)
 
-val best_restricted :
-  src:Nodeid.t ->
-  dst:Nodeid.t ->
-  hops:Nodeid.t list ->
-  cost_from_src:float array ->
-  cost_to_dst:float array ->
-  choice
-(** Same, but intermediaries restricted to [hops] (plus the direct path) —
-    used for the redundant-link-state fallback of Section 4.2, where a node
-    can only evaluate the [~2*sqrt n] neighbours whose tables it holds, and
-    for the random-intermediary comparison of Figure 1. *)
-
 val brute_force_cost : Costmat.t -> Nodeid.t -> Nodeid.t -> float
 (** Reference oracle: cheapest one-hop (or direct) cost read straight off a
     full cost matrix.  O(n); for tests and figure generation. *)
@@ -60,7 +48,26 @@ val brute_force_cost : Costmat.t -> Nodeid.t -> Nodeid.t -> float
 
     Results are {e exactly} those of {!best}, including tie-breaks (direct
     first, then lowest hop id); the trace Oracle holds cached and scanned
-    answers to the same one-hop-optimality check. *)
+    answers to the same one-hop-optimality check.
+
+    {b Representation.} Each owner holding a vector gets a dense slot
+    (an [n]-entry slot index and its inverse); the winners live in two
+    flat [cap * cap] arrays indexed by [slot src * cap + slot dst], the
+    hop as an [int] (-1: not cached) and the cost as an unboxed [float].
+    [cap] starts at [2 * isqrt n + 2] — a rendezvous server's clients plus
+    itself — and grows by half, up to [n], when more owners arrive; growing
+    copies the cached pairs across.  An owner's cached pairs are its
+    slot's row and column, so no dependency index is kept.  Besides the
+    vectors themselves ([n] floats per owner), a cache costs
+    [n + cap + 2 cap^2] words.
+
+    {b Costs.} {!best}: O(1) on a hit, one O(n) scan on a miss.
+    {!set_vector} and {!drop_vector}: O(cap) to clear the owner's row and
+    column (plus an O(cap^2) copy when the arrays grow).
+    {!update_vector}: O(changes) to patch the vector, then either O(cap)
+    to invalidate the row and column (large batches) or an O(cap) walk
+    that repairs each cached pair in O(changes), O(n) when the incumbent
+    hop got worse.  {!remap}: O(n) per carried vector. *)
 module Cache : sig
   type t
 

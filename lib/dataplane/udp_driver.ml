@@ -130,13 +130,18 @@ let on_datagram t ~now ~node ~wire_src:_ ~buf ~len =
   done;
   !pos
 
-let rec open_loop_tick t =
+(* Each arrival carries the time it was due, and the next one is due an
+   inter-arrival draw after that — not after the moment this callback
+   happened to run.  Wall-clock timers fire late; scheduling from the
+   callback would add every lateness to the schedule and undershoot the
+   offered rate, where this catches up. *)
+let rec open_loop_tick t ~due =
   if not t.stopped then begin
     let src, dst = Workload.pick_pair t.gen in
     ignore (originate t ~flow:None src dst);
-    let now = Udp.now t.udp in
-    Udp.schedule t.udp ~delay:(Workload.next_delay t.gen ~now) (fun () ->
-        open_loop_tick t)
+    let due = due +. Workload.next_delay t.gen ~now:due in
+    Udp.schedule t.udp ~delay:(Float.max 0. (due -. Udp.now t.udp)) (fun () ->
+        open_loop_tick t ~due)
   end
 
 let attach ~udp ~spec ~seed ~metrics ?trace ?start_at () =
@@ -163,7 +168,7 @@ let attach ~udp ~spec ~seed ~metrics ?trace ?start_at () =
     (Some (fun ~now ~node ~wire_src ~buf ~len -> on_datagram t ~now ~node ~wire_src ~buf ~len));
   let kick () =
     match spec.Workload.mode with
-    | Workload.Open_loop -> open_loop_tick t
+    | Workload.Open_loop -> open_loop_tick t ~due:(Udp.now t.udp)
     | Workload.Closed_loop { window; _ } ->
         for f = 0 to window - 1 do
           Udp.schedule t.udp

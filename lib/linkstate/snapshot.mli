@@ -1,15 +1,42 @@
 (** An immutable link-state table snapshot: what one node announces to its
-    rendezvous servers in round one.  Entries are stored already quantized,
-    exactly as they travel on the wire. *)
+    rendezvous servers in round one.
+
+    {b Representation.} The entries are stored as the wire bytes
+    themselves ({!Wire}'s layout): 3 bytes per entry, a big-endian u16
+    latency in whole milliseconds (0xFFFF marks a dead link) and a loss
+    byte holding k/254 (0xFF marks a dead link).  Cells are canonical —
+    every dead cell is (0xFFFF, 0xFF), the owner's cell is (0, 0) — so a
+    snapshot of [n] entries occupies one [3n]-byte string plus two words,
+    and byte equality is entry equality.
+
+    {b Costs.} {!entry}, {!cost} and {!reaches} decode one cell in O(1);
+    {!cost_vector}, {!diff}, {!equal}, {!alive_count} and {!copy} are one
+    O(n) pass over the bytes ({!copy} is a [3n]-byte blit); {!overwrite}
+    is O(changes); {!wire_bytes} is O(1) and {!of_wire} one O(n) copy. *)
 
 open Apor_util
 
 type t
 
 val create : owner:Nodeid.t -> Entry.t array -> t
-(** [create ~owner entries] quantizes and freezes [entries]; index [owner]
-    is forced to {!Entry.self}.
+(** [create ~owner entries] quantizes and freezes [entries] with exactly
+    the rounding of {!Entry.quantize} and the wire encoder (loss clamped
+    at 254/254); index [owner] is forced to {!Entry.self}.
     @raise Invalid_argument when [owner] is outside the array. *)
+
+val of_wire : owner:Nodeid.t -> bytes -> (t, string) result
+(** [of_wire ~owner b] reads a [3n]-byte link-state payload ({!Wire}'s
+    entry layout) into a snapshot, copying [b].  The result is canonical:
+    any cell whose latency is 0xFFFF or whose loss byte is 0xFF becomes
+    the dead cell, and cell [owner] becomes {!Entry.self}.  Equals
+    {!Wire.decode_entries} followed by {!create}, entry by entry.  A
+    length that is not a multiple of 3, or an [owner] outside the table,
+    is an [Error], never an exception: the bytes arrive from the network. *)
+
+val wire_bytes : t -> bytes
+(** The snapshot's [3n]-byte wire payload, shared with [t] and read-only:
+    the caller must not mutate it.  Encoding a snapshot is a blit of
+    these bytes. *)
 
 val owner : t -> Nodeid.t
 (** The node whose outgoing links this snapshot describes. *)

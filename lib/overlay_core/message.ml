@@ -94,9 +94,9 @@ let rec equal a b =
 (* One tag byte, then big-endian fixed-width fields: ports/ids/owners are
    16 bits, views/epochs/seqs/packet ids 32 bits (unsigned), ttl 8 bits.
    Variable-length parts carry an explicit 16-bit count or length so the
-   decoder never trusts the frame boundary alone.  Entry quantization is
-   inherited from {!Wire.encode_entries}: encoding a snapshot quantizes it,
-   exactly like the simulated network does. *)
+   decoder never trusts the frame boundary alone.  A snapshot is stored in
+   the wire's 3-byte entry layout already, so a [Link_state] payload is a
+   blit of {!Snapshot.wire_bytes} and decodes with {!Snapshot.of_wire}. *)
 
 let tag_probe = 0
 let tag_probe_reply = 1
@@ -139,10 +139,8 @@ let rec encode_into b = function
       put_u32 b view;
       put_u32 b epoch;
       put_u16 b (Snapshot.owner snapshot);
-      let n = Snapshot.size snapshot in
-      put_u16 b n;
-      Buffer.add_bytes b
-        (Wire.encode_entries (Array.init n (fun i -> Snapshot.entry snapshot i)))
+      put_u16 b (Snapshot.size snapshot);
+      Buffer.add_bytes b (Snapshot.wire_bytes snapshot)
   | Link_state_delta { view; delta } ->
       put_u8 b tag_link_state_delta;
       put_u32 b view;
@@ -240,15 +238,9 @@ let decode buf =
         let epoch = u32 () in
         let owner = u16 () in
         let n = u16 () in
-        if owner >= n then
-          (* [Snapshot.create] would raise; a hostile or corrupted frame
-             must yield [Error], decode is total. *)
-          Error (Printf.sprintf "Message.decode: owner %d outside %d-entry snapshot" owner n)
-        else
-          match Wire.decode_entries (raw (n * Wire.entry_bytes)) with
-          | Ok entries ->
-              Ok (Link_state { view; epoch; snapshot = Snapshot.create ~owner entries })
-          | Error e -> Error e)
+        match Snapshot.of_wire ~owner (raw (n * Wire.entry_bytes)) with
+        | Ok snapshot -> Ok (Link_state { view; epoch; snapshot })
+        | Error e -> Error ("Message.decode: " ^ e))
     | tag when tag = tag_link_state_delta -> (
         let view = u32 () in
         let k = u16 () in

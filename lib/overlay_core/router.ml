@@ -753,37 +753,31 @@ let best_hop_port t ~now ~dst_port =
               (* Section 4.2 fallback: evaluate one-hops through the
                  neighbours whose tables we hold.  Our own costs come
                  straight from the monitor, quantized as our announced
-                 snapshot quantizes them, so the choice is the snapshot's;
-                 only the entries the scan reads (dst and the candidate
-                 hops) are filled, and no snapshot is built per datagram. *)
+                 snapshot quantizes them, so the choice is the snapshot's.
+                 One pass with no per-datagram arrays: start from the
+                 direct path and scan ranks downward, replacing only on a
+                 strictly lower cost, so ties keep the direct path, then
+                 the highest rank. *)
               let metric = t.config.metric in
               let own_cost rank =
                 Metric.cost metric
                   (Entry.quantize
                      (Monitor.entry_for t.monitor (View.port_of_rank ctx.view rank)))
               in
-              let m = View.size ctx.view in
-              let cost_from_src = Array.make m infinity in
-              let cost_to_dst = Array.make m infinity in
-              let hops = ref [] in
-              for rank = 0 to m - 1 do
+              let best_hop = ref dst and best_cost = ref (own_cost dst) in
+              for rank = View.size ctx.view - 1 downto 0 do
                 if rank <> ctx.self && rank <> dst then begin
                   match Table.fresh_row ctx.table rank ~now ~max_age with
                   | Some row ->
-                      cost_from_src.(rank) <- own_cost rank;
-                      cost_to_dst.(rank) <- Snapshot.cost row metric dst;
-                      hops := rank :: !hops
+                      let c = own_cost rank +. Snapshot.cost row metric dst in
+                      if c < !best_cost then begin
+                        best_hop := rank;
+                        best_cost := c
+                      end
                   | None -> ()
                 end
               done;
-              cost_from_src.(dst) <- own_cost dst;
-              cost_to_dst.(dst) <- 0.;
-              let choice =
-                Best_hop.best_restricted ~src:ctx.self ~dst ~hops:!hops ~cost_from_src
-                  ~cost_to_dst
-              in
-              if Float.is_finite choice.Best_hop.cost then
-                Some (View.port_of_rank ctx.view choice.Best_hop.hop)
+              if Float.is_finite !best_cost then Some (View.port_of_rank ctx.view !best_hop)
               else if Monitor.alive t.monitor dst_port then Some dst_port
               else None)))
 

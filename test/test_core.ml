@@ -87,22 +87,6 @@ let test_best_hop_rejects_src_eq_dst () =
   Alcotest.check_raises "src=dst" (Invalid_argument "Best_hop: src = dst") (fun () ->
       ignore (Best_hop.best ~src:1 ~dst:1 ~cost_from_src:[| 0.; 0. |] ~cost_to_dst:[| 0.; 0. |]))
 
-let test_best_hop_restricted () =
-  let from_src = [| 0.; 1.; 1.; 50. |] in
-  let to_dst = [| 50.; 1.; 1.; 0. |] in
-  (* unrestricted best is hop 1 or 2 (cost 2); restricting to hop 2 only *)
-  let c =
-    Best_hop.best_restricted ~src:0 ~dst:3 ~hops:[ 2 ] ~cost_from_src:from_src
-      ~cost_to_dst:to_dst
-  in
-  check_int "hop" 2 c.Best_hop.hop;
-  check_float "cost" 2. c.Best_hop.cost;
-  let none =
-    Best_hop.best_restricted ~src:0 ~dst:3 ~hops:[] ~cost_from_src:from_src
-      ~cost_to_dst:to_dst
-  in
-  check_int "empty hops = direct" 3 none.Best_hop.hop
-
 let best_hop_matches_brute_force =
   QCheck.Test.make ~name:"best hop = brute-force scan (random matrices)" ~count:100
     QCheck.(pair (int_range 2 30) int)
@@ -124,31 +108,6 @@ let best_hop_matches_brute_force =
                 best := Float.min !best (Costmat.get m src h +. Costmat.get m h dst)
             done;
             if not (Float.equal choice.Best_hop.cost !best) then ok := false
-          end
-        done
-      done;
-      !ok)
-
-let best_restricted_full_hops_property =
-  QCheck.Test.make ~name:"best_restricted over all hops = best" ~count:100
-    QCheck.(pair (int_range 2 30) int)
-    (fun (n, seed) ->
-      let rng = Rng.make ~seed in
-      let m = random_matrix ~rng ~n ~dead_fraction:0.2 in
-      let hops = List.init n Fun.id in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if src <> dst then begin
-            let from_src = Costmat.row m src and to_dst = Costmat.column m dst in
-            let full =
-              Best_hop.best ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst
-            in
-            let restricted =
-              Best_hop.best_restricted ~src ~dst ~hops ~cost_from_src:from_src
-                ~cost_to_dst:to_dst
-            in
-            if full <> restricted then ok := false
           end
         done
       done;
@@ -215,6 +174,211 @@ let cache_matches_scan_property =
       (* the sequences above must actually exercise the incremental path *)
       let _, _, updates, _ = Best_hop.Cache.stats cache in
       !ok && (updates > 0 || n = 2))
+
+(* The Hashtbl-backed cache the slot-indexed one replaced: winners keyed
+   by [src * n + dst], plus per-node dependency sets naming the cached
+   pairs each vector feeds.  Same answers, tie-breaks and stats. *)
+module Reference = struct
+  type t = {
+    n : int;
+    vectors : float array option array;
+    pairs : (int, Best_hop.choice) Hashtbl.t;
+    deps : (int, unit) Hashtbl.t array;
+    mutable hits : int;
+    mutable misses : int;
+    mutable updates : int;
+    mutable rescans : int;
+  }
+
+  let create ~n =
+    {
+      n;
+      vectors = Array.make n None;
+      pairs = Hashtbl.create 64;
+      deps = Array.init n (fun _ -> Hashtbl.create 8);
+      hits = 0;
+      misses = 0;
+      updates = 0;
+      rescans = 0;
+    }
+
+  let stats t = (t.hits, t.misses, t.updates, t.rescans)
+
+  let invalidate_pairs t owner =
+    Hashtbl.iter (fun key () -> Hashtbl.remove t.pairs key) t.deps.(owner);
+    Hashtbl.reset t.deps.(owner)
+
+  let set_vector t owner v =
+    t.vectors.(owner) <- Some v;
+    invalidate_pairs t owner
+
+  let drop_vector t owner =
+    t.vectors.(owner) <- None;
+    invalidate_pairs t owner
+
+  let vector t owner = Option.get t.vectors.(owner)
+
+  let best t ~src ~dst =
+    let key = (src * t.n) + dst in
+    match Hashtbl.find_opt t.pairs key with
+    | Some choice ->
+        t.hits <- t.hits + 1;
+        choice
+    | None ->
+        t.misses <- t.misses + 1;
+        let choice =
+          Best_hop.best ~src ~dst ~cost_from_src:(vector t src) ~cost_to_dst:(vector t dst)
+        in
+        Hashtbl.replace t.pairs key choice;
+        Hashtbl.replace t.deps.(src) key ();
+        Hashtbl.replace t.deps.(dst) key ();
+        choice
+
+  let order ~dst hop = if hop = dst then -1 else hop
+
+  let update_pair t ~src ~dst key (incumbent : Best_hop.choice) changed =
+    let from_src = vector t src and to_dst = vector t dst in
+    let cand_cost h = if h = dst then from_src.(dst) else from_src.(h) +. to_dst.(h) in
+    let affected = List.mem incumbent.Best_hop.hop changed in
+    if affected && cand_cost incumbent.Best_hop.hop > incumbent.Best_hop.cost then begin
+      t.rescans <- t.rescans + 1;
+      Hashtbl.replace t.pairs key
+        (Best_hop.best ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst)
+    end
+    else begin
+      t.updates <- t.updates + 1;
+      let best =
+        List.fold_left
+          (fun (bh, bc) h ->
+            if h = src then (bh, bc)
+            else
+              let c = cand_cost h in
+              if c < bc || (c = bc && order ~dst h < order ~dst bh) then (h, c) else (bh, bc))
+          ( incumbent.Best_hop.hop,
+            if affected then cand_cost incumbent.Best_hop.hop else incumbent.Best_hop.cost )
+          changed
+      in
+      Hashtbl.replace t.pairs key { Best_hop.hop = fst best; cost = snd best }
+    end
+
+  let update_vector t owner ~changes =
+    let v = vector t owner in
+    List.iter (fun (id, cost) -> v.(id) <- cost) changes;
+    if changes <> [] then begin
+      let changed = List.map fst changes in
+      let count = List.length changed in
+      if count > 8 && count * 8 > t.n then invalidate_pairs t owner
+      else
+        let deps = t.deps.(owner) in
+        List.iter
+          (fun key ->
+            match Hashtbl.find_opt t.pairs key with
+            | None -> Hashtbl.remove deps key
+            | Some incumbent ->
+                update_pair t ~src:(key / t.n) ~dst:(key mod t.n) key incumbent changed)
+          (Hashtbl.fold (fun key () acc -> key :: acc) deps [])
+    end
+
+  let remap t ~n ~map =
+    let fresh = create ~n in
+    Array.iteri
+      (fun r old ->
+        match old with
+        | Some old -> (
+            match t.vectors.(old) with
+            | Some v ->
+                fresh.vectors.(r) <-
+                  Some
+                    (Array.init n (fun j ->
+                         match map.(j) with Some oj -> v.(oj) | None -> infinity))
+            | None -> ())
+        | None -> ())
+      map;
+    fresh
+end
+
+(* Random op sequences over both caches, with more owners than the slot
+   arrays start with so they grow mid-sequence: installs, small (repaired)
+   and large (invalidating) update batches, drops, queries and remaps
+   through random injective maps.  Every answer must equal the reference's
+   and the canonical scan's — hop and cost — and the stats must agree. *)
+let cache_matches_reference_property =
+  QCheck.Test.make ~name:"slot cache = Hashtbl reference (grow, remap)" ~count:60
+    QCheck.(pair (int_range 2 64) int)
+    (fun (n, seed) ->
+      let rng = Rng.make ~seed in
+      let n = ref n in
+      let cache = ref (Best_hop.Cache.create ~n:!n) in
+      let refc = ref (Reference.create ~n:!n) in
+      let ok = ref true in
+      let random_cost () =
+        if Rng.bernoulli rng ~p:0.2 then infinity else Float.round (Rng.float rng 99.)
+      in
+      let owners () =
+        List.filter (fun o -> !refc.Reference.vectors.(o) <> None) (List.init !n Fun.id)
+      in
+      let install owner =
+        let v = Array.init !n (fun j -> if j = owner then 0. else random_cost ()) in
+        Best_hop.Cache.set_vector !cache owner v;
+        Reference.set_vector !refc owner (Array.copy v)
+      in
+      let query src dst =
+        let got = Best_hop.Cache.best !cache ~src ~dst in
+        let want = Reference.best !refc ~src ~dst in
+        let scanned =
+          Best_hop.best ~src ~dst ~cost_from_src:(Reference.vector !refc src)
+            ~cost_to_dst:(Reference.vector !refc dst)
+        in
+        if got <> want || got <> scanned then ok := false
+      in
+      let query_some () =
+        match Array.of_list (owners ()) with
+        | [||] | [| _ |] -> ()
+        | os ->
+            for _ = 1 to 40 do
+              let src = os.(Rng.int rng (Array.length os))
+              and dst = os.(Rng.int rng (Array.length os)) in
+              if src <> dst then query src dst
+            done
+      in
+      let update ~large owner =
+        let count = if large then max 9 ((!n / 8) + 1) else 1 + Rng.int rng 4 in
+        let changes = List.init count (fun _ -> (Rng.int rng !n, random_cost ())) in
+        Best_hop.Cache.update_vector !cache owner ~changes;
+        Reference.update_vector !refc owner ~changes
+      in
+      List.iter (fun o -> if Rng.bernoulli rng ~p:0.6 then install o) (List.init !n Fun.id);
+      for _step = 1 to 40 do
+        (match (Rng.int rng 10, owners ()) with
+        | (0 | 1), _ | _, [] -> install (Rng.int rng !n)
+        | (2 | 3 | 4), os -> update ~large:false (List.nth os (Rng.int rng (List.length os)))
+        | 5, os -> update ~large:true (List.nth os (Rng.int rng (List.length os)))
+        | 6, os ->
+            let o = List.nth os (Rng.int rng (List.length os)) in
+            Best_hop.Cache.drop_vector !cache o;
+            Reference.drop_vector !refc o
+        | 7, _ ->
+            (* a membership change: a random injective map onto old ids *)
+            let n' = 2 + Rng.int rng 63 in
+            let olds = Array.init !n Fun.id in
+            Rng.shuffle rng olds;
+            let map =
+              Array.init n' (fun r ->
+                  if r < !n && Rng.bernoulli rng ~p:0.8 then Some olds.(r) else None)
+            in
+            cache := Best_hop.Cache.remap !cache ~n:n' ~map;
+            refc := Reference.remap !refc ~n:n' ~map;
+            n := n'
+        | _ -> ());
+        query_some ();
+        if Best_hop.Cache.stats !cache <> Reference.stats !refc then ok := false
+      done;
+      let os = owners () in
+      List.iter (fun src -> List.iter (fun dst -> if src <> dst then query src dst) os) os;
+      List.iter
+        (fun o -> if Best_hop.Cache.vector !cache o <> !refc.Reference.vectors.(o) then ok := false)
+        (List.init !n Fun.id);
+      !ok && Best_hop.Cache.stats !cache = Reference.stats !refc)
 
 let test_cache_drop_vector () =
   let cache = Best_hop.Cache.create ~n:3 in
@@ -668,14 +832,13 @@ let () =
           Alcotest.test_case "direct wins ties" `Quick test_best_hop_prefers_direct_on_tie;
           Alcotest.test_case "unreachable" `Quick test_best_hop_unreachable;
           Alcotest.test_case "rejects src=dst" `Quick test_best_hop_rejects_src_eq_dst;
-          Alcotest.test_case "restricted hops" `Quick test_best_hop_restricted;
           qcheck best_hop_matches_brute_force;
-          qcheck best_restricted_full_hops_property;
         ] );
       ( "best_hop_cache",
         [
           Alcotest.test_case "drop vector" `Quick test_cache_drop_vector;
           qcheck cache_matches_scan_property;
+          qcheck cache_matches_reference_property;
         ] );
       ( "rendezvous",
         [

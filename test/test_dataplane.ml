@@ -309,6 +309,33 @@ let test_sim_deterministic_json () =
   let a = go () and b = go () in
   check_bool "byte-identical JSON" true (String.equal a.Run.json b.Run.json)
 
+(* --- open loop on the real transport ---------------------------------------- *)
+
+(* Wall-clock timers fire late; an open loop that scheduled each arrival
+   from when its callback ran would fall behind its offered rate.  At a
+   fixed rate it must send at least 90% of rate x duration.  Socket-less
+   sandboxes make this skip, like the udp tests in test_chaos. *)
+let test_udp_open_loop_rate () =
+  let module Udp = Apor_deploy.Udp_runtime in
+  match Udp.create ~config:Apor_chaos.Runner.deploy_config ~n:4 ~base_port:9420 ~seed:5 () with
+  | exception Unix.Unix_error _ -> ()
+  | udp ->
+      Fun.protect
+        ~finally:(fun () -> Udp.close udp)
+        (fun () ->
+          Udp.start udp;
+          Udp.run udp ~duration:0.3;
+          let rate = 5000. and duration = 2. in
+          let spec = { Workload.default with Workload.rate_pps = rate } in
+          let metrics = Metrics.create ~window_s:1. ~t0:(Udp.now udp) in
+          let driver = Apor_dataplane.Udp_driver.attach ~udp ~spec ~seed:5 ~metrics () in
+          Udp.run udp ~duration;
+          Apor_dataplane.Udp_driver.stop driver;
+          let sent = Apor_dataplane.Udp_driver.sent driver in
+          if float_of_int sent < 0.9 *. rate *. duration then
+            Alcotest.failf "open loop sent %d datagrams, below 90%% of %.0f" sent
+              (rate *. duration))
+
 let () =
   Alcotest.run "apor_dataplane"
     [
@@ -338,4 +365,5 @@ let () =
           Alcotest.test_case "deterministic report JSON" `Slow
             test_sim_deterministic_json;
         ] );
+      ("run(udp)", [ Alcotest.test_case "open loop keeps its rate" `Slow test_udp_open_loop_rate ]);
     ]

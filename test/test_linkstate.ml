@@ -165,6 +165,193 @@ let test_wire_decode_well_sized_junk () =
   | Ok recs -> check_int "3 recs" 3 (List.length recs)
   | Error e -> Alcotest.fail e
 
+(* --- Snapshot against the parallel-array reference ----------------------------- *)
+
+(* The float-array snapshot the wire-width one replaced: entries quantized
+   by [Entry.quantize] into unboxed latency and loss arrays plus one
+   liveness byte.  Every reader of [Snapshot] must agree with it. *)
+module Reference = struct
+  type t = { owner : int; latency : float array; loss : float array; live : Bytes.t }
+
+  let store t j e =
+    let e = Entry.quantize (if j = t.owner then Entry.self else e) in
+    t.latency.(j) <- e.Entry.latency_ms;
+    t.loss.(j) <- e.Entry.loss;
+    Bytes.set t.live j (if e.Entry.alive then '\001' else '\000')
+
+  let create ~owner entries =
+    let n = Array.length entries in
+    let t =
+      { owner; latency = Array.make n 0.; loss = Array.make n 0.; live = Bytes.make n '\000' }
+    in
+    Array.iteri (store t) entries;
+    t
+
+  let size t = Array.length t.latency
+  let alive t j = Bytes.get t.live j = '\001'
+
+  let entry t j =
+    if alive t j then Entry.make ~latency_ms:t.latency.(j) ~loss:t.loss.(j) ~alive:true
+    else Entry.unreachable
+
+  let cost t metric j = if alive t j then Metric.cost metric (entry t j) else infinity
+  let cost_vector t metric = Array.init (size t) (cost t metric)
+
+  let alive_count t =
+    let count = ref 0 in
+    for j = 0 to size t - 1 do
+      if j <> t.owner && alive t j then incr count
+    done;
+    !count
+
+  let with_entries t changes =
+    let next =
+      {
+        owner = t.owner;
+        latency = Array.copy t.latency;
+        loss = Array.copy t.loss;
+        live = Bytes.copy t.live;
+      }
+    in
+    List.iter (fun (j, e) -> store next j e) changes;
+    next
+
+  let diff ~prev ~next =
+    List.filter
+      (fun (j, _) -> not (Entry.equal (entry prev j) (entry next j)))
+      (List.init (size prev) (fun j -> (j, entry next j)))
+
+  let equal a b =
+    a.owner = b.owner
+    && size a = size b
+    && List.for_all (fun j -> Entry.equal (entry a j) (entry b j)) (List.init (size a) Fun.id)
+end
+
+let metrics = [ Metric.Latency; Metric.Loss_sensitive { retry_penalty_ms = 100. } ]
+
+(* Entries that probe every edge of the 3-byte cell: latencies above the
+   65534 ms ceiling and on half-millisecond rounding boundaries, losses of
+   exactly 0 and 1 and on half-step boundaries, dead links. *)
+let random_entry rng =
+  let open Apor_util in
+  if Rng.bernoulli rng ~p:0.15 then
+    Entry.make ~latency_ms:(Rng.float rng 100.) ~loss:(Rng.float rng 1.) ~alive:false
+  else begin
+    let latency_ms =
+      match Rng.int rng 4 with
+      | 0 -> 65534. +. Rng.float rng 10000.
+      | 1 -> float_of_int (Rng.int rng 1000) +. 0.5
+      | _ -> Rng.float rng 2000.
+    in
+    let loss =
+      match Rng.int rng 5 with
+      | 0 -> 0.
+      | 1 -> 1.
+      | 2 -> (float_of_int (Rng.int rng 254) +. 0.5) /. 254.
+      | _ -> Rng.float rng 1.
+    in
+    Entry.make ~latency_ms ~loss ~alive:true
+  end
+
+let random_changes rng ~n =
+  List.init (Apor_util.Rng.int rng (n + 1)) (fun _ ->
+      (Apor_util.Rng.int rng n, random_entry rng))
+
+(* Every reader, under both metrics, on every index. *)
+let agrees (r : Reference.t) s =
+  let n = Reference.size r in
+  Snapshot.size s = n
+  && Snapshot.owner s = r.Reference.owner
+  && Snapshot.payload_bytes s = 3 * n
+  && Snapshot.alive_count s = Reference.alive_count r
+  && List.for_all
+       (fun metric ->
+         Snapshot.cost_vector s metric = Reference.cost_vector r metric
+         && List.for_all
+              (fun j -> Float.equal (Snapshot.cost s metric j) (Reference.cost r metric j))
+              (List.init n Fun.id))
+       metrics
+  && List.for_all
+       (fun j ->
+         Snapshot.entry s j = Reference.entry r j
+         && Snapshot.reaches s j = Reference.alive r j)
+       (List.init n Fun.id)
+
+let snapshot_matches_reference =
+  QCheck.Test.make ~name:"snapshot = float-array reference" ~count:300
+    QCheck.(pair (int_range 1 48) int)
+    (fun (n, seed) ->
+      let rng = Apor_util.Rng.make ~seed in
+      let owner = Apor_util.Rng.int rng n in
+      let entries = Array.init n (fun _ -> random_entry rng) in
+      let s = Snapshot.create ~owner entries and r = Reference.create ~owner entries in
+      (* a second row sharing most cells, with re-rounded near-duplicates,
+         so that [equal] and [diff] see both equal and unequal pairs *)
+      let near =
+        Array.map
+          (fun (e : Entry.t) ->
+            if e.Entry.alive && Apor_util.Rng.bernoulli rng ~p:0.5 then
+              { e with Entry.latency_ms = Float.round e.Entry.latency_ms }
+            else e)
+          entries
+      in
+      let changes = random_changes rng ~n in
+      let s2 = Snapshot.with_entries (Snapshot.create ~owner near) changes
+      and r2 = Reference.with_entries (Reference.create ~owner near) changes in
+      let s3 = Snapshot.copy s in
+      Snapshot.overwrite s3 changes;
+      agrees r s && agrees r2 s2 && agrees r2 s3
+      && Snapshot.equal s s2 = Reference.equal r r2
+      && Snapshot.equal s (Snapshot.create ~owner near) = Reference.equal r (Reference.create ~owner near)
+      && Snapshot.diff ~prev:s ~next:s2 = Reference.diff ~prev:r ~next:r2
+      && Snapshot.equal s2 (Snapshot.with_entries s (Snapshot.diff ~prev:s ~next:s2)))
+
+(* [of_wire] is today's decode path in one step: on arbitrary bytes and
+   owners it equals [Wire.decode_entries] + [Snapshot.create], entry by
+   entry, and reports [Error] exactly where that path fails or raises. *)
+let of_wire_matches_decode =
+  QCheck.Test.make ~name:"of_wire = decode_entries + create" ~count:500
+    QCheck.(pair (int_range (-2) 40) (string_of_size (Gen.int_range 0 120)))
+    (fun (owner, raw) ->
+      let b = Bytes.of_string raw in
+      let expected =
+        match Wire.decode_entries b with
+        | Error _ -> None
+        | Ok entries -> (
+            match Snapshot.create ~owner entries with
+            | s -> Some (entries, s)
+            | exception Invalid_argument _ -> None)
+      in
+      match (Snapshot.of_wire ~owner b, expected) with
+      | Error _, None -> true
+      | Ok s, Some (entries, s') ->
+          Snapshot.equal s s'
+          && agrees (Reference.create ~owner entries) s
+          && List.for_all
+               (fun j -> Snapshot.entry s j = Snapshot.entry s' j)
+               (List.init (Array.length entries) Fun.id)
+      | Ok _, None | Error _, Some _ -> false)
+
+let test_snapshot_wire_bytes () =
+  let s = Snapshot.create ~owner:0 sample_entries in
+  check_bool "wire bytes are the encoded entries" true
+    (Bytes.equal (Snapshot.wire_bytes s)
+       (Wire.encode_entries (Array.map Entry.quantize sample_entries)));
+  match Snapshot.of_wire ~owner:0 (Snapshot.wire_bytes s) with
+  | Ok s' -> check_bool "of_wire inverts wire_bytes" true (Snapshot.equal s s')
+  | Error e -> Alcotest.fail e
+
+(* A snapshot is its 3n wire bytes plus a two-field record. *)
+let test_snapshot_size_guard () =
+  let n = 256 in
+  let s =
+    Snapshot.create ~owner:3
+      (Array.init n (fun j -> Entry.make ~latency_ms:(float_of_int j) ~loss:0. ~alive:true))
+  in
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words > (3 * n / 8) + 8 then
+    Alcotest.failf "snapshot of %d entries takes %d words, above %d" n words ((3 * n / 8) + 8)
+
 (* --- Wire.Delta ----------------------------------------------------------------- *)
 
 (* Random quantized snapshot over [n] nodes, owned by [owner]. *)
@@ -406,6 +593,10 @@ let () =
           Alcotest.test_case "self entry forced" `Quick test_snapshot_forces_self_entry;
           Alcotest.test_case "cost vector" `Quick test_snapshot_cost_vector;
           Alcotest.test_case "rejects bad owner" `Quick test_snapshot_rejects_bad_owner;
+          Alcotest.test_case "wire bytes" `Quick test_snapshot_wire_bytes;
+          Alcotest.test_case "size guard" `Quick test_snapshot_size_guard;
+          qcheck snapshot_matches_reference;
+          qcheck of_wire_matches_decode;
         ] );
       ( "wire",
         [
