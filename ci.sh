@@ -95,10 +95,24 @@ cmp /tmp/apor-traffic-a.json /tmp/apor-traffic-b.json || {
 }
 rm -f /tmp/apor-traffic-a.json /tmp/apor-traffic-b.json
 
-# Data-plane smoke (udp): real datagrams over loopback sockets; the
-# command exits 1 on conservation violations or zero goodput, and exits
-# 0 with a skip notice in socket-less sandboxes.
+# Closed-loop data plane (sim): each flow waits for its datagram's
+# delivery or flow timeout before it thinks and sends again; churn makes
+# some of them time out. Run twice and diff the report JSONs.
+dune exec bin/apor.exe -- traffic --runtime sim --n 24 --duration 60 --churn \
+  --closed --window 32 --think 0.01 --json /tmp/apor-closed-a.json > /dev/null
+dune exec bin/apor.exe -- traffic --runtime sim --n 24 --duration 60 --churn \
+  --closed --window 32 --think 0.01 --json /tmp/apor-closed-b.json > /dev/null
+cmp /tmp/apor-closed-a.json /tmp/apor-closed-b.json || {
+  echo "ci: closed-loop traffic report JSON is not deterministic across identical runs" >&2
+  exit 1
+}
+rm -f /tmp/apor-closed-a.json /tmp/apor-closed-b.json
+
+# Data-plane smoke (udp), open and closed loop: real datagrams over
+# loopback sockets; the command exits 1 on conservation violations or
+# zero goodput, and exits 0 with a skip notice in socket-less sandboxes.
 dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --base-port 9700
+dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --closed --base-port 9800
 
 # Documentation build (odoc). The libraries are private, so the pages live
 # under @doc-private. Skipped when odoc isn't installed (offline images).

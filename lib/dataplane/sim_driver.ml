@@ -4,11 +4,6 @@ module Cluster = Apor_overlay.Cluster
 module Message = Apor_overlay.Message
 module Ev = Apor_trace.Event
 
-(* A closed-loop flow's outstanding datagram is abandoned after this many
-   virtual seconds: the flow restarts, the late packet (if any) is
-   ignored on arrival. *)
-let flow_timeout_s = 5.
-
 type pending = {
   psent_at : float;
   pdirect_s : float; (* one-way direct baseline, seconds *)
@@ -22,6 +17,7 @@ type t = {
   metrics : Metrics.t;
   trace : Apor_trace.Collector.t option;
   pending : (int, pending) Hashtbl.t;
+  mutable flows : Flows.t option; (* closed loop only *)
   mutable next_id : int;
   mutable sent : int;
   mutable delivered : int;
@@ -33,7 +29,9 @@ let emit t ev =
 
 let sent t = t.sent
 let delivered t = t.delivered
-let stop t = t.stopped <- true
+let stop t =
+  t.stopped <- true;
+  Option.iter Flows.stop t.flows
 
 let engine t = Cluster.engine t.cluster
 
@@ -64,22 +62,18 @@ let originate t ~flow src dst =
        });
   id
 
-(* One closed-loop flow: send, await delivery or timeout, think, repeat. *)
-let rec flow_step t f =
-  if not t.stopped then begin
-    let src, dst = Workload.pick_pair t.gen in
-    let id = originate t ~flow:(Some f) src dst in
-    Engine.schedule (engine t) ~delay:flow_timeout_s (fun () ->
-        match Hashtbl.find_opt t.pending id with
-        | Some { pflow = Some f'; _ } when f' = f ->
-            (* lost: the window credit never arrives; restart the flow *)
-            Hashtbl.remove t.pending id;
-            flow_step t f
-        | Some _ | None -> ())
-  end
-
-and flow_resume t f ~think =
-  Engine.schedule (engine t) ~delay:(Float.max 1e-9 think) (fun () -> flow_step t f)
+(* Closed-loop flows on the virtual clock.  The clock stands still inside
+   an event, so [originate]'s own reading is the [now] the table stamps. *)
+let flow_host t =
+  {
+    Flows.now = (fun () -> Engine.now (engine t));
+    schedule_at = (fun time f -> Engine.schedule_at (engine t) ~time f);
+    send =
+      (fun ~flow ~now:_ ->
+        let src, dst = Workload.pick_pair t.gen in
+        originate t ~flow:(Some flow) src dst);
+    forget = Hashtbl.remove t.pending;
+  }
 
 let on_dgram t ~now ~node msg =
   match msg with
@@ -93,9 +87,8 @@ let on_dgram t ~now ~node msg =
             Metrics.record_delivered t.metrics ~now ~sent_at:p.psent_at ~payload
               ~direct_s:(Some p.pdirect_s) ~hops;
             emit t (Ev.Dgram_delivered { id; node; hops });
-            match (p.pflow, t.spec.Workload.mode) with
-            | Some f, Workload.Closed_loop { think_s; _ } ->
-                if not t.stopped then flow_resume t f ~think:think_s
+            match (p.pflow, t.flows) with
+            | Some flow, Some flows -> Flows.delivered flows ~flow ~id
             | _ -> ()
       end
       else if hops + 1 > Packet.max_hops then begin
@@ -133,24 +126,23 @@ let attach ~cluster ~spec ~seed ~metrics ?trace ?start_at () =
       metrics;
       trace;
       pending = Hashtbl.create 4096;
+      flows = None;
       next_id = 0;
       sent = 0;
       delivered = 0;
       stopped = false;
     }
   in
+  (match spec.Workload.mode with
+  | Workload.Open_loop -> ()
+  | Workload.Closed_loop { window; think_s } ->
+      t.flows <- Some (Flows.create (flow_host t) ~window ~think_s:(Float.max 1e-9 think_s)));
   Cluster.set_dgram_sink cluster (fun ~now ~node msg -> on_dgram t ~now ~node msg);
   let eng = Cluster.engine cluster in
   let kick () =
-    match spec.Workload.mode with
-    | Workload.Open_loop -> open_loop_tick t
-    | Workload.Closed_loop { window; _ } ->
-        for f = 0 to window - 1 do
-          (* stagger flow starts across one mean inter-arrival interval *)
-          Engine.schedule eng
-            ~delay:(float_of_int f /. spec.Workload.rate_pps)
-            (fun () -> flow_step t f)
-        done
+    match t.flows with
+    | None -> open_loop_tick t
+    | Some flows -> Flows.start flows ~rate_pps:spec.Workload.rate_pps
   in
   (match start_at with
   | Some at when at > Engine.now eng -> Engine.schedule_at eng ~time:at kick

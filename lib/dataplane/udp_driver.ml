@@ -3,13 +3,7 @@ module Udp = Apor_deploy.Udp_runtime
 module Node_core = Apor_overlay_core.Node_core
 module Ev = Apor_trace.Event
 
-let flow_timeout_s = 5.
-
-type pending = {
-  psent_at : float;
-  pflow : int option;
-  mutable presolved : bool; (* delivered, or abandoned by a flow timeout *)
-}
+type pending = { psent_at : float; pflow : int option }
 
 type t = {
   udp : Udp.t;
@@ -19,6 +13,7 @@ type t = {
   metrics : Metrics.t;
   trace : Apor_trace.Collector.t option;
   pending : (int, pending) Hashtbl.t;
+  mutable flows : Flows.t option; (* closed loop only *)
   baseline : (int, float) Hashtbl.t;
       (* (origin * n + dst) -> min observed zero-hop latency, seconds *)
   mutable next_id : int;
@@ -32,14 +27,15 @@ let emit t ev =
 
 let sent t = t.sent
 let delivered t = t.delivered
-let stop t = t.stopped <- true
+let stop t =
+  t.stopped <- true;
+  Option.iter Flows.stop t.flows
 
 let send_packet t (p : Packet.t) ~src ~dst =
   Udp.send_data t.udp ~src ~dst ~size:(Packet.size p) ~fill:(fun buf pos ->
       Packet.encode_into p buf ~pos)
 
-let originate t ~flow src dst =
-  let now = Udp.now t.udp in
+let originate t ~now ~flow src dst =
   let id = t.next_id in
   t.next_id <- id + 1;
   let hop =
@@ -51,7 +47,7 @@ let originate t ~flow src dst =
   t.sent <- t.sent + 1;
   Metrics.record_sent t.metrics ~now;
   emit t (Ev.Dgram_sent { id; origin = src; dst; hop });
-  Hashtbl.replace t.pending id { psent_at = now; pflow = flow; presolved = false };
+  Hashtbl.replace t.pending id { psent_at = now; pflow = flow };
   let p : Packet.t =
     {
       id;
@@ -65,27 +61,21 @@ let originate t ~flow src dst =
   send_packet t p ~src ~dst:next;
   id
 
-let rec flow_step t f =
-  if not t.stopped then begin
-    let src, dst = Workload.pick_pair t.gen in
-    let id = originate t ~flow:(Some f) src dst in
-    Udp.schedule t.udp ~delay:flow_timeout_s (fun () ->
-        match Hashtbl.find_opt t.pending id with
-        | Some p when not p.presolved ->
-            p.presolved <- true;
-            flow_step t f
-        | Some _ | None -> ())
-  end
-
-and flow_resume t f ~think =
-  Udp.schedule t.udp ~delay:(Float.max 1e-4 think) (fun () -> flow_step t f)
+let flow_host t =
+  {
+    Flows.now = (fun () -> Udp.now t.udp);
+    schedule_at = (fun at f -> Udp.schedule t.udp ~delay:(at -. Udp.now t.udp) f);
+    send =
+      (fun ~flow ~now ->
+        let src, dst = Workload.pick_pair t.gen in
+        originate t ~now ~flow:(Some flow) src dst);
+    forget = Hashtbl.remove t.pending;
+  }
 
 let deliver t ~now ~node (p : Packet.t) =
   match Hashtbl.find_opt t.pending p.id with
-  | None -> () (* a duplicated frame already delivered, or an unknown id *)
-  | Some pd when pd.presolved -> ()
+  | None -> () (* a duplicate, a datagram its flow timed out, or an unknown id *)
   | Some pd ->
-      pd.presolved <- true;
       Hashtbl.remove t.pending p.id;
       t.delivered <- t.delivered + 1;
       let lat = Float.max 0. (now -. pd.psent_at) in
@@ -99,10 +89,9 @@ let deliver t ~now ~node (p : Packet.t) =
       Metrics.record_delivered t.metrics ~now ~sent_at:pd.psent_at
         ~payload:p.payload_len ~direct_s ~hops:p.hops;
       emit t (Ev.Dgram_delivered { id = p.id; node; hops = p.hops });
-      (match (pd.pflow, t.spec.Workload.mode) with
-      | Some f, Workload.Closed_loop { think_s; _ } ->
-          if not t.stopped then flow_resume t f ~think:think_s
-      | _ -> ())
+      match (pd.pflow, t.flows) with
+      | Some flow, Some flows -> Flows.delivered flows ~flow ~id:p.id
+      | _ -> ()
 
 let on_packet t ~now ~node (p : Packet.t) =
   if node = p.dst then deliver t ~now ~node p
@@ -138,7 +127,7 @@ let on_datagram t ~now ~node ~wire_src:_ ~buf ~len =
 let rec open_loop_tick t ~due =
   if not t.stopped then begin
     let src, dst = Workload.pick_pair t.gen in
-    ignore (originate t ~flow:None src dst);
+    ignore (originate t ~now:(Udp.now t.udp) ~flow:None src dst);
     let due = due +. Workload.next_delay t.gen ~now:due in
     Udp.schedule t.udp ~delay:(Float.max 0. (due -. Udp.now t.udp)) (fun () ->
         open_loop_tick t ~due)
@@ -157,6 +146,7 @@ let attach ~udp ~spec ~seed ~metrics ?trace ?start_at () =
       metrics;
       trace;
       pending = Hashtbl.create 4096;
+      flows = None;
       baseline = Hashtbl.create 1024;
       next_id = 0;
       sent = 0;
@@ -164,17 +154,16 @@ let attach ~udp ~spec ~seed ~metrics ?trace ?start_at () =
       stopped = false;
     }
   in
+  (match spec.Workload.mode with
+  | Workload.Open_loop -> ()
+  | Workload.Closed_loop { window; think_s } ->
+      t.flows <- Some (Flows.create (flow_host t) ~window ~think_s:(Float.max 1e-4 think_s)));
   Udp.set_data_sink udp
     (Some (fun ~now ~node ~wire_src ~buf ~len -> on_datagram t ~now ~node ~wire_src ~buf ~len));
   let kick () =
-    match spec.Workload.mode with
-    | Workload.Open_loop -> open_loop_tick t ~due:(Udp.now t.udp)
-    | Workload.Closed_loop { window; _ } ->
-        for f = 0 to window - 1 do
-          Udp.schedule t.udp
-            ~delay:(float_of_int f /. spec.Workload.rate_pps)
-            (fun () -> flow_step t f)
-        done
+    match t.flows with
+    | None -> open_loop_tick t ~due:(Udp.now t.udp)
+    | Some flows -> Flows.start flows ~rate_pps:spec.Workload.rate_pps
   in
   (match start_at with
   | Some at when at > Udp.now udp -> Udp.schedule udp ~delay:(at -. Udp.now udp) kick

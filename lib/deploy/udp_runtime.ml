@@ -34,6 +34,7 @@ module Timers = struct
     done
 
   let next_at t = if t.len = 0 then None else Some t.a.(0).at
+  let length t = t.len
 
   let pop_due t ~now =
     if t.len = 0 || t.a.(0).at > now then None
@@ -275,6 +276,8 @@ let set_data_sink t sink = t.data_sink <- sink
 
 let schedule t ~delay f =
   Timers.add t.timers ~at:(Clock.now t.clock +. Float.max 0. delay) f
+
+let pending_timers t = Timers.length t.timers
 
 let pending_sends t =
   Array.exists

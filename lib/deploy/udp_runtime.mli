@@ -152,6 +152,9 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** Arm a runtime-level timer (not tied to any node incarnation) — the
     data-plane drivers' arrival and timeout clocks. *)
 
+val pending_timers : t -> int
+(** Timers armed and not yet fired, node timers included. *)
+
 (** {1 Data plane}
 
     Transport hooks for [lib/dataplane]: user datagram frames are packed

@@ -12,7 +12,10 @@
    - metrics attribute loss to send windows and report the worst one;
    - end to end on the simulator: a short oracle-attached run delivers
      datagrams with zero conservation violations, and equal seeds
-     produce byte-identical report JSON. *)
+     produce byte-identical report JSON;
+   - closed-loop flows time out exactly Flows.timeout_s after each send,
+     ignore deliveries that arrive after their timeout, and hold a
+     bounded number of timers whatever their rate, on both runtimes. *)
 
 open Apor_util
 module Packet = Apor_dataplane.Packet
@@ -309,6 +312,131 @@ let test_sim_deterministic_json () =
   let a = go () and b = go () in
   check_bool "byte-identical JSON" true (String.equal a.Run.json b.Run.json)
 
+(* --- closed loop on the simulator ------------------------------------------- *)
+
+module Cluster = Apor_overlay.Cluster
+module Collector = Apor_trace.Collector
+module Ev = Apor_trace.Event
+module Flows = Apor_dataplane.Flows
+module Sim_driver = Apor_dataplane.Sim_driver
+
+let closed_spec ~window ~think_s =
+  {
+    Workload.default with
+    Workload.mode = Workload.Closed_loop { window; think_s };
+    rate_pps = 1000.;
+  }
+
+type closed_run = {
+  sends : float list;  (** [Dgram_sent] times, in order *)
+  dgram_delivered : int;  (** [Dgram_delivered] events *)
+  data_arrivals : int;  (** Data-class packets the network delivered *)
+  driver_sent : int;
+  driver_delivered : int;
+  metrics_delivered : int;
+}
+
+(* A closed loop of [window] flows from t=30 to t=59.5 on a flat [n]-node
+   network: every link has one round-trip time and one loss rate. *)
+let flat_closed_loop ~rtt_ms ~loss ~window =
+  let n = 6 in
+  let flat v = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else v)) in
+  let trace = Collector.create () in
+  let sends = ref [] and dgram_delivered = ref 0 and data_arrivals = ref 0 in
+  Collector.subscribe trace (fun tv ->
+      match tv.Collector.event with
+      | Ev.Dgram_sent _ -> sends := tv.Collector.time :: !sends
+      | Ev.Dgram_delivered _ -> incr dgram_delivered
+      | Ev.Deliver { cls = Msgclass.Data; _ } -> incr data_arrivals
+      | _ -> ());
+  let cluster =
+    Cluster.create ~config:Apor_overlay_core.Config.quorum_default ~rtt_ms:(flat rtt_ms)
+      ~loss:(flat loss) ~trace ~seed:11 ()
+  in
+  Cluster.start cluster;
+  let metrics = Metrics.create ~window_s:10. ~t0:30. in
+  let driver =
+    Sim_driver.attach ~cluster ~spec:(closed_spec ~window ~think_s:0.001) ~seed:11 ~metrics
+      ~trace ~start_at:30. ()
+  in
+  Cluster.run_until cluster 59.5;
+  {
+    sends = List.rev !sends;
+    dgram_delivered = !dgram_delivered;
+    data_arrivals = !data_arrivals;
+    driver_sent = Sim_driver.sent driver;
+    driver_delivered = Sim_driver.delivered driver;
+    metrics_delivered = Metrics.delivered metrics;
+  }
+
+(* When no datagram is ever delivered in time, every send but a flow's
+   first comes exactly [Flows.timeout_s] after the send it replaces.
+   Chaining each send to the one it continues must leave exactly [window]
+   chains (one per flow, so a flow never has two datagrams outstanding),
+   and nothing else may send. *)
+let check_timeout_chains ~window sends =
+  let next_due = Hashtbl.create 64 in
+  let starts = ref 0 in
+  List.iter
+    (fun s ->
+      (match Hashtbl.find_opt next_due s with
+      | Some k when k > 0 -> Hashtbl.replace next_due s (k - 1)
+      | Some _ | None -> incr starts);
+      let due = s +. Flows.timeout_s in
+      Hashtbl.replace next_due due (1 + Option.value ~default:0 (Hashtbl.find_opt next_due due)))
+    sends;
+  check_int "flows (chains of sends timeout_s apart)" window !starts;
+  (* 29.5 s of traffic, a send every 5 s per flow: six per flow *)
+  check_int "sends" (6 * window) (List.length sends)
+
+let test_closed_loop_timeout_exact () =
+  let window = 8 in
+  let r = flat_closed_loop ~rtt_ms:40. ~loss:1.0 ~window in
+  check_int "driver count = trace count" r.driver_sent (List.length r.sends);
+  check_int "nothing delivered" 0 r.driver_delivered;
+  check_timeout_chains ~window r.sends
+
+(* One-way delay 6 s: every datagram arrives a second after its flow
+   timed it out.  The arrival must count nowhere and must not resume the
+   flow, which has already sent again. *)
+let test_closed_loop_late_delivery () =
+  let window = 8 in
+  let r = flat_closed_loop ~rtt_ms:12_000. ~loss:0. ~window in
+  check_bool "late datagrams did arrive" true (r.data_arrivals > 0);
+  check_int "driver delivered" 0 r.driver_delivered;
+  check_int "metrics delivered" 0 r.metrics_delivered;
+  check_int "Dgram_delivered events" 0 r.dgram_delivered;
+  check_timeout_chains ~window r.sends
+
+(* Each flow holds at most one timeout timer plus one other event (its
+   datagram in flight or its think timer), so a closed loop adds at most
+   a few events per flow to the engine's queue, whatever its rate.  A
+   timer per datagram would add rate x timeout_s. *)
+let test_closed_loop_pending_bounded () =
+  let window = 32 in
+  let peak ~traffic =
+    let world = Apor_topology.Internet.generate ~seed:4 ~n:16 () in
+    let cluster =
+      Cluster.create ~config:Apor_overlay_core.Config.quorum_default
+        ~rtt_ms:world.Apor_topology.Internet.rtt_ms ~loss:world.Apor_topology.Internet.loss
+        ~seed:4 ()
+    in
+    Cluster.start cluster;
+    if traffic then begin
+      let metrics = Metrics.create ~window_s:10. ~t0:30. in
+      ignore
+        (Sim_driver.attach ~cluster ~spec:(closed_spec ~window ~think_s:0.001) ~seed:4
+           ~metrics ~start_at:30. ()
+          : Sim_driver.t)
+    end;
+    Cluster.run_until cluster 60.;
+    (Cluster.engine_stats cluster).Apor_sim.Engine.max_pending
+  in
+  let quiet = peak ~traffic:false and busy = peak ~traffic:true in
+  if busy - quiet > 3 * window then
+    Alcotest.failf "closed loop raised peak pending events from %d to %d (bound +%d)" quiet busy
+      (3 * window)
+
 (* --- open loop on the real transport ---------------------------------------- *)
 
 (* Wall-clock timers fire late; an open loop that scheduled each arrival
@@ -335,6 +463,44 @@ let test_udp_open_loop_rate () =
           if float_of_int sent < 0.9 *. rate *. duration then
             Alcotest.failf "open loop sent %d datagrams, below 90%% of %.0f" sent
               (rate *. duration))
+
+(* A closed loop at think 1 ms sends tens of thousands of datagrams a
+   second here.  Its flows must still hold at most a couple of timers
+   each, so the runtime's timer heap stays within a bound set by the
+   window and the control plane, not by the offered rate. *)
+let test_udp_closed_loop_timers () =
+  let module Udp = Apor_deploy.Udp_runtime in
+  match Udp.create ~config:Apor_chaos.Runner.deploy_config ~n:4 ~base_port:9430 ~seed:6 () with
+  | exception Unix.Unix_error _ -> ()
+  | udp ->
+      Fun.protect
+        ~finally:(fun () -> Udp.close udp)
+        (fun () ->
+          let peak_timers ~duration =
+            let peak = ref (Udp.pending_timers udp) in
+            let steps = int_of_float (duration /. 0.01) in
+            for _ = 1 to steps do
+              Udp.run udp ~duration:0.01;
+              peak := max !peak (Udp.pending_timers udp)
+            done;
+            !peak
+          in
+          Udp.start udp;
+          let control = peak_timers ~duration:0.3 in
+          let window = 64 in
+          let metrics = Metrics.create ~window_s:1. ~t0:(Udp.now udp) in
+          let driver =
+            Apor_dataplane.Udp_driver.attach ~udp
+              ~spec:(closed_spec ~window ~think_s:0.001)
+              ~seed:6 ~metrics ()
+          in
+          let busy = peak_timers ~duration:2. in
+          Apor_dataplane.Udp_driver.stop driver;
+          let delivered = Apor_dataplane.Udp_driver.delivered driver in
+          check_bool "datagrams delivered" true (delivered > 0);
+          if busy > control + (3 * window) then
+            Alcotest.failf "%d delivered; pending timers peaked at %d (control plane %d, bound +%d)"
+              delivered busy control (3 * window))
 
 let () =
   Alcotest.run "apor_dataplane"
@@ -364,6 +530,16 @@ let () =
           Alcotest.test_case "oracle-attached smoke" `Slow test_sim_smoke;
           Alcotest.test_case "deterministic report JSON" `Slow
             test_sim_deterministic_json;
+          Alcotest.test_case "closed loop times out exactly" `Quick
+            test_closed_loop_timeout_exact;
+          Alcotest.test_case "closed loop ignores late deliveries" `Quick
+            test_closed_loop_late_delivery;
+          Alcotest.test_case "closed loop pending events bounded" `Slow
+            test_closed_loop_pending_bounded;
         ] );
-      ("run(udp)", [ Alcotest.test_case "open loop keeps its rate" `Slow test_udp_open_loop_rate ]);
+      ( "run(udp)",
+        [
+          Alcotest.test_case "open loop keeps its rate" `Slow test_udp_open_loop_rate;
+          Alcotest.test_case "closed loop timers bounded" `Slow test_udp_closed_loop_timers;
+        ] );
     ]
