@@ -10,6 +10,7 @@
 open Apor_util
 open Apor_quorum
 open Apor_overlay
+open Apor_overlay_core
 
 let section title =
   Printf.printf "\n==================== %s ====================\n" title

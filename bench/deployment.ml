@@ -4,6 +4,7 @@
 
 open Apor_util
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 open Apor_analysis
 

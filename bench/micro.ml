@@ -182,16 +182,12 @@ type oracle_run = {
 
 let oracle_once ~n ~seed =
   let open Apor_trace in
-  let config = Apor_overlay.Config.quorum_default in
+  let config = Apor_overlay_core.Config.quorum_default in
   let world = Apor_topology.Internet.generate ~seed ~n () in
   let tr = Collector.create () in
-  let staleness_s =
-    float_of_int config.Apor_overlay.Config.staleness_windows
-    *. config.Apor_overlay.Config.routing_interval_s
-  in
   let oracle =
-    Oracle.create ~raise_on_violation:false
-      ~metric:config.Apor_overlay.Config.metric ~staleness_s ()
+    Oracle.create ~raise_on_violation:false ~metric:config.Apor_overlay_core.Config.metric
+      ~staleness_s:(Apor_overlay_core.Config.staleness_s config) ()
   in
   Oracle.attach oracle tr;
   let c =
@@ -317,12 +313,12 @@ let scaling ?json ~quick ~jobs ~seed () =
   let ns = if quick then [ 49; 144 ] else [ 49; 144; 400; 900 ] in
   let jobs = max 1 jobs in
   if jobs > 1 then Printf.printf "sweep points on %d domains\n%!" jobs;
-  let full_config = Apor_overlay.Config.full_table Apor_overlay.Config.quorum_default in
+  let full_config = Apor_overlay_core.Config.full_table Apor_overlay_core.Config.quorum_default in
   let points =
     List.concat_map
       (fun n ->
         [
-          (n, "delta", Apor_overlay.Config.quorum_default); (n, "full", full_config);
+          (n, "delta", Apor_overlay_core.Config.quorum_default); (n, "full", full_config);
         ])
       ns
   in

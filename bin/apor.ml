@@ -13,6 +13,7 @@ open Apor_util
 open Apor_quorum
 open Apor_core
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 (* --- grid ------------------------------------------------------------------ *)
@@ -163,33 +164,13 @@ let emulate_cmd =
 
 (* --- deploy-local ------------------------------------------------------------ *)
 
-(* The same protocol core the simulator runs, over real loopback UDP.
-   Timescales are compressed so a wall-clock run of a few seconds spans
-   many probing and routing cycles; the parameter ratios (timeout vs rapid
-   cadence, staleness windows, failure factors) match the paper's. *)
-let deploy_config =
-  {
-    Config.quorum_default with
-    Config.probe_interval_s = 1.0;
-    probes_for_failure = 3;
-    probe_timeout_s = 0.2;
-    rapid_probe_interval_s = 0.25;
-    routing_interval_s = 0.5;
-    membership_refresh_s = 60.;
-  }
-
+(* The same protocol core the simulator runs, over real loopback UDP at
+   the compressed deploy-local timescales ({!Config.deploy_local}). *)
 let run_deploy_local n duration quick base_port seed json =
   let module Udp = Apor_deploy.Udp_runtime in
-  let config = deploy_config in
+  let config = Config.deploy_local in
   let duration = if quick then Float.min duration 6.0 else duration in
-  let trace = Apor_trace.Collector.create ~capacity:(1 lsl 18) () in
-  let oracle =
-    Apor_trace.Oracle.create ~raise_on_violation:false ~metric:config.Config.metric
-      ~staleness_s:
-        (float_of_int config.Config.staleness_windows *. config.Config.routing_interval_s)
-      ()
-  in
-  Apor_trace.Oracle.attach oracle trace;
+  let trace, oracle = Apor_dataplane.Run.observe config in
   match Udp.create ~config ~n ~base_port ~trace ~seed () with
   | exception Unix.Unix_error (err, fn, _) ->
       (* No usable loopback sockets (sandboxed CI, exhausted ports):

@@ -12,6 +12,16 @@ fi
 dune build
 dune runtest
 
+# Simulator outputs are pinned: each sim chaos/traffic score JSON below
+# must equal its committed copy under test/golden/ byte for byte.  A
+# deliberate behaviour change regenerates the file in the same commit.
+golden() {
+  cmp "$1" "$2" || {
+    echo "ci: $1 differs from $2; regenerate it only for a deliberate behaviour change" >&2
+    exit 1
+  }
+}
+
 # Bench smoke: the quick scaling sweep on 2 domains exercises the
 # calendar-queue engine, the parallel sweep runner and the JSON writer
 # end to end (the oracle run inside it must report zero violations).
@@ -53,6 +63,7 @@ cmp /tmp/apor-chaos-a.json /tmp/apor-chaos-b.json || {
   echo "ci: chaos score JSON is not deterministic across identical runs" >&2
   exit 1
 }
+golden /tmp/apor-chaos-a.json test/golden/chaos_smoke.json
 rm -f /tmp/apor-chaos-a.json /tmp/apor-chaos-b.json
 
 # Chaos smoke (udp): the same scenario replayed over real loopback
@@ -77,6 +88,7 @@ cmp /tmp/apor-chaos-m-a.json /tmp/apor-chaos-m-b.json || {
   echo "ci: membership chaos score JSON is not deterministic across identical runs" >&2
   exit 1
 }
+golden /tmp/apor-chaos-m-a.json test/golden/chaos_coordinator_kill_forever.json
 rm -f /tmp/apor-chaos-m-a.json /tmp/apor-chaos-m-b.json
 dune exec bin/apor.exe -- chaos --scenario examples/chaos/coordinator_kill_forever.scn \
   --runtime udp --base-port 9900
@@ -93,6 +105,7 @@ cmp /tmp/apor-traffic-a.json /tmp/apor-traffic-b.json || {
   echo "ci: traffic report JSON is not deterministic across identical runs" >&2
   exit 1
 }
+golden /tmp/apor-traffic-a.json test/golden/traffic_churn.json
 rm -f /tmp/apor-traffic-a.json /tmp/apor-traffic-b.json
 
 # Closed-loop data plane (sim): each flow waits for its datagram's
@@ -106,6 +119,7 @@ cmp /tmp/apor-closed-a.json /tmp/apor-closed-b.json || {
   echo "ci: closed-loop traffic report JSON is not deterministic across identical runs" >&2
   exit 1
 }
+golden /tmp/apor-closed-a.json test/golden/traffic_churn_closed.json
 rm -f /tmp/apor-closed-a.json /tmp/apor-closed-b.json
 
 # Data-plane smoke (udp), open and closed loop: real datagrams over

@@ -11,6 +11,7 @@
 open Apor_util
 open Apor_sim
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let n = 64

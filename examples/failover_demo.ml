@@ -7,6 +7,7 @@
    Run with:  dune exec examples/failover_demo.exe *)
 
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let n = 9

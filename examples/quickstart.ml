@@ -9,6 +9,7 @@
 
 open Apor_quorum
 open Apor_overlay
+open Apor_overlay_core
 
 let n = 9
 

@@ -1,6 +1,6 @@
 open Apor_quorum
 open Apor_linkstate
-open Apor_overlay
+open Apor_overlay_core
 
 type algorithm = Config.algorithm = Full_mesh | Quorum
 

@@ -1,19 +1,19 @@
 (** Executing a {!Scenario} end to end and scoring the run.
 
-    Both runners build an overlay, attach the trace collector and the
-    invariant {!Apor_trace.Oracle} (recording, not raising), install the
-    {!Injector}, drive the run while sampling pair availability around
-    every fault window, and distill a {!Score}.
+    One run body serves both runtimes: it attaches the background
+    workload through the shared {!Apor_dataplane.Host}, walks one agenda
+    of injector actions and availability probes around every fault
+    window, then measures staleness, view agreement, admitted joins and
+    traffic/datagram conservation at the horizon and distills a
+    {!Score}.  What stays per runtime is the injector's lowering
+    (engine timers on the simulator, agenda actions on UDP), the
+    availability predicate, and the UDP transport counters.
 
-    Metric accumulation happens in collector {e subscribers}, not by
-    querying the ring afterwards: engine events dominate volume and wrap
-    the ring long before a scenario ends, while subscribers see every
-    event. *)
-
-val deploy_config : Apor_overlay_core.Config.t
-(** The compressed deploy-local timescales the UDP runner uses (paper
-    ratios, 30x faster) — exposed so tests drive [Udp_runtime] with the
-    same configuration. *)
+    Both build the overlay with the trace collector and the invariant
+    {!Apor_trace.Oracle} (recording, not raising) attached.  Metric
+    accumulation happens in collector {e subscribers}, not by querying
+    the ring afterwards: engine events dominate volume and wrap the ring
+    long before a scenario ends, while subscribers see every event. *)
 
 type outcome = {
   score : Score.t;
@@ -39,10 +39,11 @@ val run_udp :
   ?progress:(string -> unit) ->
   Scenario.t ->
   (outcome, string) result
-(** Replay over real loopback UDP sockets with the deploy-local
-    compressed timescales.  [time_scale] (default [1/30], the ratio of
-    the deploy 0.5 s routing interval to the paper's 15 s) multiplies
-    every scenario time; scores are converted back to scenario seconds.
+(** Replay over real loopback UDP sockets with the compressed
+    {!Apor_overlay_core.Config.deploy_local} timescales.  [time_scale]
+    (default [1/30], the ratio of the deploy 0.5 s routing interval to
+    the paper's 15 s) multiplies every scenario time; scores are
+    converted back to scenario seconds.
     Node crashes close real sockets and restarts boot fresh cores that
     rejoin; membership scenarios run the runtime's [`Dynamic] mode, so
     kills are real socket closures and joins real quorum admissions.

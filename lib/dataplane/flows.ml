@@ -1,14 +1,9 @@
 let timeout_s = 5.
 
-type host = {
-  now : unit -> float;
-  schedule_at : float -> (unit -> unit) -> unit;
+type t = {
+  host : Host.t;
   send : flow:int -> now:float -> int;
   forget : int -> unit;
-}
-
-type t = {
-  host : host;
   think_s : float;
   outstanding : int array; (* datagram id, or -1 while the flow thinks *)
   due : float array; (* the outstanding datagram's sent_at + timeout_s *)
@@ -16,9 +11,11 @@ type t = {
   mutable stopped : bool;
 }
 
-let create host ~window ~think_s =
+let create host ~send ~forget ~window ~think_s =
   {
     host;
+    send;
+    forget;
     think_s;
     outstanding = Array.make window (-1);
     due = Array.make window 0.;
@@ -64,7 +61,7 @@ let on_check t f ~now =
 let rec step t f =
   if not t.stopped then begin
     let now = t.host.now () in
-    let id = t.host.send ~flow:f ~now in
+    let id = t.send ~flow:f ~now in
     match on_send t f ~id ~now with Some due -> arm t f due | None -> ()
   end
 
@@ -76,7 +73,7 @@ and fire t f =
   | Rearm due -> arm t f due
   | Time_out id ->
       (* lost: the window credit never arrives; restart the flow *)
-      t.host.forget id;
+      t.forget id;
       step t f
 
 let start t ~rate_pps =

@@ -1,4 +1,4 @@
-(** Closed-loop flows, written once for both data-plane drivers.
+(** Closed-loop flows for the one data-plane {!Driver}.
 
     A flow sends one datagram, waits for its delivery or for
     {!timeout_s} to pass, thinks, and sends again.  The table keeps three
@@ -12,27 +12,25 @@
     exactly [timeout_s] after its outstanding datagram was sent, and at
     most [window] timeouts are pending at any time, whatever the rate.
 
-    The table does no I/O: the host supplies the clock, a timer, and the
-    two actions a flow takes on the network. *)
+    The table does no I/O: the host supplies the clock and a timer, the
+    driver the two actions a flow takes on the network. *)
 
 val timeout_s : float
 (** Seconds after which a flow abandons its outstanding datagram. *)
 
-type host = {
-  now : unit -> float;
-  schedule_at : float -> (unit -> unit) -> unit;
-      (** Run a callback at an absolute time on the host's clock. *)
-  send : flow:int -> now:float -> int;
-      (** Originate the flow's next datagram, stamped [now]; its id. *)
-  forget : int -> unit;
-      (** Drop a timed-out datagram's pending entry, so that a late
-          arrival is ignored. *)
-}
-
 type t
 
-val create : host -> window:int -> think_s:float -> t
-(** [window] flows, none started. *)
+val create :
+  Host.t ->
+  send:(flow:int -> now:float -> int) ->
+  forget:(int -> unit) ->
+  window:int ->
+  think_s:float ->
+  t
+(** [window] flows, none started.  [send ~flow ~now] originates the
+    flow's next datagram, stamped [now], and returns its id; [forget id]
+    drops a timed-out datagram's pending entry, so that a late arrival is
+    ignored. *)
 
 val start : t -> rate_pps:float -> unit
 (** Flow [f] sends its first datagram [f / rate_pps] seconds from now. *)

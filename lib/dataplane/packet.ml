@@ -1,4 +1,4 @@
-type t = {
+type t = Apor_overlay_core.Message.dgram = {
   id : int;
   origin : int;
   dst : int;
@@ -79,21 +79,9 @@ let decode buf =
   | Ok _ -> Error "Packet.decode: trailing bytes"
   | Error _ as e -> e
 
-let to_dgram p =
-  Apor_overlay_core.Message.Dgram
-    {
-      id = p.id;
-      origin = p.origin;
-      dst = p.dst;
-      hops = p.hops;
-      sent_at_us = p.sent_at_us;
-      payload = p.payload_len;
-    }
+let to_dgram p = Apor_overlay_core.Message.Dgram p
 
-let of_dgram = function
-  | Apor_overlay_core.Message.Dgram { id; origin; dst; hops; sent_at_us; payload } ->
-      Some { id; origin; dst; hops; sent_at_us; payload_len = payload }
-  | _ -> None
+let of_dgram = function Apor_overlay_core.Message.Dgram p -> Some p | _ -> None
 
 let equal a b =
   a.id = b.id && a.origin = b.origin && a.dst = b.dst && a.hops = b.hops

@@ -19,12 +19,12 @@
       17..18 payload_len  u16
     v}
 
-    The simulator does not serialize packets — it carries the same
-    fields as {!Apor_overlay_core.Message.Dgram} and charges
+    The simulator does not serialize packets — it carries this very
+    record in {!Apor_overlay_core.Message.Dgram} and charges
     [header_bytes + payload_len], so byte accounting agrees across
     runtimes. *)
 
-type t = {
+type t = Apor_overlay_core.Message.dgram = {
   id : int;
   origin : int;
   dst : int;
@@ -67,8 +67,7 @@ val decode : bytes -> (t, string) result
 (** Single-packet form: the buffer must contain exactly one packet. *)
 
 val to_dgram : t -> Apor_overlay_core.Message.t
-(** The simulator-side carrier with the same fields
-    ({!Apor_overlay_core.Message.Dgram}). *)
+(** The simulator-side carrier, {!Apor_overlay_core.Message.Dgram}. *)
 
 val of_dgram : Apor_overlay_core.Message.t -> t option
 (** Inverse of {!to_dgram}; [None] for any other message. *)

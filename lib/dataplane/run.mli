@@ -7,6 +7,10 @@
     check, and fold the verdicts into the report.  The sim run is
     byte-deterministic: equal arguments produce byte-identical [json]. *)
 
+val observe : Apor_overlay_core.Config.t -> Apor_trace.Collector.t * Apor_trace.Oracle.t
+(** A fresh trace collector with the full oracle attached, recording
+    rather than raising, at the configuration's metric and staleness. *)
+
 type report = {
   json : string;  (** one JSON object, newline-terminated *)
   sent : int;

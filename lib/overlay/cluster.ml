@@ -1,5 +1,6 @@
 open Apor_util
 open Apor_sim
+open Apor_overlay_core
 
 type membership =
   | Static
@@ -17,7 +18,7 @@ type t = {
   static_view : bool;
   mutable next_data_id : int;
   deliveries : (int, float) Hashtbl.t; (* data packet id -> delivery time *)
-  dgram_sink : (now:float -> node:int -> Message.t -> unit) option ref;
+  dgram_sink : (now:float -> node:int -> Message.dgram -> unit) option ref;
 }
 
 let pad_matrix m extra ~fill =
@@ -94,10 +95,10 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let dgram_sink = ref None in
   Engine.set_handler engine (fun ~dst ~src msg ->
       match (msg, !dgram_sink) with
-      | Message.Dgram _, Some sink ->
+      | Message.Dgram d, Some sink ->
           (* User datagrams short-circuit to the data-plane forwarder;
              they never enter the protocol state machines. *)
-          sink ~now:(Engine.now engine) ~node:dst msg
+          sink ~now:(Engine.now engine) ~node:dst d
       | _ ->
       if dst < n then begin
         match runtimes.(dst) with
@@ -251,8 +252,9 @@ let data_delivered_at t id = Hashtbl.find_opt t.deliveries id
 
 let set_dgram_sink t sink = t.dgram_sink := Some sink
 
-let send_dgram t ~src ~dst msg =
+let send_dgram t ~src ~dst d =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Cluster.send_dgram: port out of range";
+  let msg = Message.Dgram d in
   Engine.send t.engine ~cls:(Message.cls msg) ~src ~dst ~bytes:(Message.size_bytes msg)
     msg

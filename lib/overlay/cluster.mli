@@ -10,6 +10,7 @@
     and nodes execute the join protocol. *)
 
 open Apor_sim
+open Apor_overlay_core
 
 type membership =
   | Static
@@ -117,14 +118,14 @@ val send_data_direct : t -> src:int -> dst:int -> int
 val data_delivered_at : t -> int -> float option
 (** Virtual time a packet reached its destination, if it did. *)
 
-val set_dgram_sink : t -> (now:float -> node:int -> Message.t -> unit) -> unit
+val set_dgram_sink : t -> (now:float -> node:int -> Message.dgram -> unit) -> unit
 (** Install the data-plane forwarder: every {!Message.Dgram} arriving at
     any node is handed to [sink] at the transport boundary instead of the
     node's protocol core.  [node] is the receiving port; the datagram's
-    addressing lives in the message itself.  [lib/dataplane] installs
+    addressing lives in the record itself.  [lib/dataplane] installs
     this; at most one sink is active. *)
 
-val send_dgram : t -> src:int -> dst:int -> Message.t -> unit
+val send_dgram : t -> src:int -> dst:int -> Message.dgram -> unit
 (** Put a user datagram on the virtual wire from [src] to [dst] (one
     transport hop, normal loss/latency sampling and [Data]-class traffic
     accounting).  @raise Invalid_argument out of range. *)

@@ -119,7 +119,7 @@ module Failures = struct
 
   let install ~cluster ?(interval = 60.) ~t0 ~t1 () =
     Per_node.install ~cluster ~interval ~t0 ~t1 (fun node ->
-        Monitor.concurrent_failures (Node.monitor (Cluster.node cluster node)))
+        Apor_overlay_core.Monitor.concurrent_failures (Node.monitor (Cluster.node cluster node)))
 
   let mean_per_node = Per_node.mean_per_node
   let max_per_node = Per_node.max_per_node

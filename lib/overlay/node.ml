@@ -1,28 +1,8 @@
-type callbacks = {
-  now : unit -> float;
-  send : dst_port:int -> Message.t -> unit;
-  schedule : delay:float -> (unit -> unit) -> unit;
-  deliver_data : id:int -> origin:int -> unit;
-      (** an application packet addressed to this node arrived *)
-}
+open Apor_overlay_core
 
 type t = { rt : Runtime.t; now : unit -> float }
 
 let of_runtime ~now rt = { rt; now }
-
-let create ~config ~port ~capacity ?coordinator_port ?trace ~rng (cb : callbacks) =
-  let core =
-    Node_core.create ~config ~port ~capacity ?coordinator_port
-      ~trace:(Option.is_some trace) ~rng ()
-  in
-  let rt =
-    Runtime.create ~core ~now:cb.now
-      ~send:(fun ~dst_port msg -> cb.send ~dst_port msg)
-      ~schedule:(fun ~delay f -> cb.schedule ~delay f)
-      ~deliver_data:(fun ~id ~origin -> cb.deliver_data ~id ~origin)
-      ?trace ()
-  in
-  { rt; now = cb.now }
 
 let core t = Runtime.core t.rt
 let runtime t = t.rt

@@ -1,37 +1,15 @@
-(** One overlay node: the sans-IO {!Node_core} plus a {!Runtime} driving
-    it, behind the node-object API the benches and tests use.
+(** One overlay node: the sans-IO {!Node_core} plus the {!Runtime}
+    driving it, behind the node-object API the benches and tests use.
 
     This is a convenience wrapper — the state machine itself lives in
-    {!Node_core} and performs no IO.  [create] builds a core and a
-    runtime from three transport callbacks (clock, send, timer);
-    {!Cluster} instead builds the runtime with {!Sim_runtime.create} and
-    wraps it via {!of_runtime}.  Port numbers are the node's addresses;
-    rank-space bookkeeping is internal to the router. *)
+    {!Node_core} and performs no IO.  {!Cluster} builds each runtime with
+    {!Sim_runtime.create} and wraps it via {!of_runtime}.  Port numbers
+    are the node's addresses; rank-space bookkeeping is internal to the
+    router. *)
 
-type callbacks = {
-  now : unit -> float;
-  send : dst_port:int -> Message.t -> unit;
-  schedule : delay:float -> (unit -> unit) -> unit;
-  deliver_data : id:int -> origin:int -> unit;
-      (** an application packet addressed to this node arrived *)
-}
+open Apor_overlay_core
 
 type t
-
-val create :
-  config:Config.t ->
-  port:int ->
-  capacity:int ->
-  ?coordinator_port:int ->
-  ?trace:(Apor_trace.Event.t -> unit) ->
-  rng:Apor_util.Rng.t ->
-  callbacks ->
-  t
-(** [capacity] is the largest port + 1 ever addressable (sizes the monitor).
-    With a [coordinator_port], [start] runs the join protocol; without one
-    the node waits for {!install_view}.  [trace] receives this node's
-    protocol-level events (quorum algorithm only — the full-mesh router
-    has no rendezvous protocol to trace). *)
 
 val of_runtime : now:(unit -> float) -> Runtime.t -> t
 (** Wrap an already-wired runtime (e.g. from {!Sim_runtime.create});

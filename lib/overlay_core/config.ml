@@ -42,6 +42,21 @@ let base =
 let quorum_default = base
 let ron_default = { base with algorithm = Full_mesh; routing_interval_s = 30. }
 
+(* Same parameter ratios as the paper, 30x faster: a few wall seconds on
+   loopback span many probing and routing cycles. *)
+let deploy_local =
+  {
+    base with
+    probe_interval_s = 1.0;
+    probes_for_failure = 3;
+    probe_timeout_s = 0.2;
+    rapid_probe_interval_s = 0.25;
+    routing_interval_s = 0.5;
+    membership_refresh_s = 60.;
+  }
+
+let staleness_s t = float_of_int t.staleness_windows *. t.routing_interval_s
+
 let full_table t = { t with delta_link_state = false; incremental_rendezvous = false }
 
 let with_routing_interval t r = { t with routing_interval_s = r }

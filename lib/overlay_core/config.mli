@@ -69,6 +69,17 @@ val ron_default : t
 val quorum_default : t
 (** The paper's router, 15 s routing interval. *)
 
+val deploy_local : t
+(** {!quorum_default} at the compressed timescales the real-UDP runs use
+    (1 s probing, 0.5 s routing, 0.2 s probe timeout, 3 probes for
+    failure): the paper's parameter ratios, 30x faster, so a few wall
+    seconds on loopback span many probing and routing cycles. *)
+
+val staleness_s : t -> float
+(** [staleness_windows * routing_interval_s]: the age past which a
+    rendezvous server ignores a client table, and the recommendation age
+    the oracle and the scorers accept as fresh. *)
+
 val full_table : t -> t
 (** Baseline ablation: disable both delta announcements and the
     incremental best-hop cache (every round sends full snapshots and

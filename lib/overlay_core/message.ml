@@ -1,6 +1,15 @@
 open Apor_util
 open Apor_linkstate
 
+type dgram = {
+  id : int;
+  origin : Nodeid.t;
+  dst : Nodeid.t;
+  hops : int;
+  sent_at_us : int;
+  payload_len : int;
+}
+
 type t =
   | Probe of { seq : int }
   | Probe_reply of { seq : int }
@@ -13,14 +22,7 @@ type t =
   | View of { version : int; members : Nodeid.t list }
   | Data of { id : int; origin : Nodeid.t; dst : Nodeid.t; ttl : int }
   | Relay of { origin : Nodeid.t; target : Nodeid.t; inner : t }
-  | Dgram of {
-      id : int;
-      origin : Nodeid.t;
-      dst : Nodeid.t;
-      hops : int;
-      sent_at_us : int;
-      payload : int;
-    }
+  | Dgram of dgram
   | Member of Apor_membership.Wire.t
 
 let data_payload_bytes = 64
@@ -38,7 +40,7 @@ let rec size_bytes = function
   | View { members; _ } -> Overhead.membership_view_bytes ~n:(List.length members)
   | Data _ -> Overhead.header_bytes + data_payload_bytes
   | Relay { inner; _ } -> Overhead.header_bytes + size_bytes inner
-  | Dgram { payload; _ } -> dgram_header_bytes + payload
+  | Dgram d -> dgram_header_bytes + d.payload_len
   | Member w -> 1 + Apor_membership.Wire.size_bytes w
 
 let rec cls = function
@@ -78,10 +80,7 @@ let rec equal a b =
   | ( Relay { origin = o1; target = t1; inner = i1 },
       Relay { origin = o2; target = t2; inner = i2 } ) ->
       o1 = o2 && t1 = t2 && equal i1 i2
-  | ( Dgram { id = i1; origin = o1; dst = d1; hops = h1; sent_at_us = s1; payload = p1 },
-      Dgram { id = i2; origin = o2; dst = d2; hops = h2; sent_at_us = s2; payload = p2 } )
-    ->
-      i1 = i2 && o1 = o2 && d1 = d2 && h1 = h2 && s1 = s2 && p1 = p2
+  | Dgram a, Dgram b -> a = b
   | Member w1, Member w2 -> Apor_membership.Wire.equal w1 w2
   | ( ( Probe _ | Probe_reply _ | Link_state _ | Link_state_delta _ | Ls_resync _
       | Recommend _ | Join _ | Leave _ | View _ | Data _ | Relay _ | Dgram _
@@ -178,7 +177,7 @@ let rec encode_into b = function
       put_u16 b origin;
       put_u16 b target;
       encode_into b inner
-  | Dgram { id; origin; dst; hops; sent_at_us; payload } ->
+  | Dgram { id; origin; dst; hops; sent_at_us; payload_len } ->
       put_u8 b tag_dgram;
       put_u32 b id;
       put_u16 b origin;
@@ -187,7 +186,7 @@ let rec encode_into b = function
       (* 48-bit microsecond timestamp: high 16 then low 32 *)
       put_u16 b (sent_at_us lsr 32);
       put_u32 b (sent_at_us land u32_max);
-      put_u16 b payload
+      put_u16 b payload_len
   | Member w ->
       put_u8 b tag_member;
       Buffer.add_bytes b (Apor_membership.Wire.encode w)
@@ -282,8 +281,8 @@ let decode buf =
         let hops = u8 () in
         let hi = u16 () in
         let lo = u32 () in
-        let payload = u16 () in
-        Ok (Dgram { id; origin; dst; hops; sent_at_us = (hi lsl 32) lor lo; payload })
+        let payload_len = u16 () in
+        Ok (Dgram { id; origin; dst; hops; sent_at_us = (hi lsl 32) lor lo; payload_len })
     | tag when tag = tag_member -> (
         (* the membership payload extends to the end of the frame; its own
            decoder enforces the trailing-bytes check *)
@@ -320,6 +319,6 @@ let rec pp ppf = function
       Format.fprintf ppf "data#%d(%d->%d, ttl=%d)" id origin dst ttl
   | Relay { origin; target; inner } ->
       Format.fprintf ppf "relay(%d=>%d, %a)" origin target pp inner
-  | Dgram { id; origin; dst; hops; payload; _ } ->
-      Format.fprintf ppf "dgram#%d(%d->%d, hops=%d, %dB)" id origin dst hops payload
+  | Dgram { id; origin; dst; hops; payload_len; _ } ->
+      Format.fprintf ppf "dgram#%d(%d->%d, hops=%d, %dB)" id origin dst hops payload_len
   | Member w -> Format.fprintf ppf "member(%a)" Apor_membership.Wire.pp w

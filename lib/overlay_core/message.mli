@@ -8,6 +8,18 @@
 open Apor_util
 open Apor_linkstate
 
+type dgram = {
+  id : int;
+  origin : Nodeid.t;
+  dst : Nodeid.t;
+  hops : int;  (** overlay forwards so far (0 at the origin) *)
+  sent_at_us : int;  (** origination time, microseconds, 48-bit *)
+  payload_len : int;  (** application payload length in bytes *)
+}
+(** A data-plane user datagram.  [lib/dataplane]'s [Packet.t] is this
+    record, so the simulator carries the packet the forwarder builds
+    without copying it. *)
+
 type t =
   | Probe of { seq : int }
   | Probe_reply of { seq : int }
@@ -41,14 +53,7 @@ type t =
           rendezvous server/client has failed.  The intermediary forwards
           [inner] to [target]; the receiver processes it as if it came
           from [origin]. *)
-  | Dgram of {
-      id : int;
-      origin : Nodeid.t;
-      dst : Nodeid.t;
-      hops : int;  (** overlay forwards so far (0 at the origin) *)
-      sent_at_us : int;  (** origination time, microseconds, 48-bit *)
-      payload : int;  (** application payload length in bytes *)
-    }
+  | Dgram of dgram
       (** A data-plane user datagram ([lib/dataplane]).  Unlike [Data] —
           the legacy availability probe forwarded inside the node core —
           [Dgram] is intercepted at the transport boundary by the
@@ -67,7 +72,7 @@ val data_payload_bytes : int
 val dgram_header_bytes : int
 (** Modeled wire-header cost of a [Dgram], matching the real data-plane
     packet header ({!section:lib/dataplane} [Packet.header_bytes]): the
-    simulator charges [dgram_header_bytes + payload] per datagram. *)
+    simulator charges [dgram_header_bytes + payload_len] per datagram. *)
 
 val size_bytes : t -> int
 

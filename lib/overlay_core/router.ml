@@ -65,7 +65,6 @@ let create ~config ~self_port ~rng ~monitor ?trace eff =
 
 let view t = Option.map (fun c -> c.view) t.ctx
 
-let staleness t = float_of_int t.config.staleness_windows *. t.config.routing_interval_s
 let remote_timeout t = t.config.remote_failure_factor *. t.config.routing_interval_s
 
 (* No failover (or failure bookkeeping) until the first full measurement and
@@ -234,7 +233,7 @@ let pair_failed t ctx ~now dst =
         && not (failed_wrt t ctx ~now dst dst)))
   && not
        (Grid.is_rendezvous_for ctx.grid ~server:ctx.self ~client:dst
-       && Table.fresh_row ctx.table dst ~now ~max_age:(staleness t) <> None)
+       && Table.fresh_row ctx.table dst ~now ~max_age:(Config.staleness_s t.config) <> None)
 
 let dst_alive_evidence t ctx ~now dst =
   Monitor.alive t.monitor (View.port_of_rank ctx.view dst)
@@ -243,7 +242,7 @@ let dst_alive_evidence t ctx ~now dst =
   let rec scan rank =
     if rank >= m then false
     else if rank <> dst && rank <> ctx.self then begin
-      match Table.fresh_row ctx.table rank ~now ~max_age:(staleness t) with
+      match Table.fresh_row ctx.table rank ~now ~max_age:(Config.staleness_s t.config) with
       | Some row when Snapshot.reaches row dst -> true
       | Some _ | None -> scan (rank + 1)
     end
@@ -260,7 +259,7 @@ let relay_hop t ctx ~now rank =
     if c >= m then None
     else if c <> ctx.self && c <> rank
             && Monitor.alive t.monitor (View.port_of_rank ctx.view c) then begin
-      match Table.fresh_row ctx.table c ~now ~max_age:(staleness t) with
+      match Table.fresh_row ctx.table c ~now ~max_age:(Config.staleness_s t.config) with
       | Some row when Snapshot.reaches row rank -> Some c
       | Some _ | None -> scan (c + 1)
     end
@@ -499,7 +498,7 @@ let tick t ~now =
       (* Round two, server role: recommend between every pair of clients
          with fresh tables.  Anyone whose announcements we hold fresh is a
          client — that uniformly covers default and failover clients. *)
-      let max_age = staleness t in
+      let max_age = Config.staleness_s t.config in
       let fresh_ranks =
         List.filter
           (fun rank -> Table.fresh_row ctx.table rank ~now ~max_age <> None)
@@ -740,7 +739,7 @@ let best_hop_port t ~now ~dst_port =
       | None -> None
       | Some dst when dst = ctx.self -> Some dst_port
       | Some dst -> (
-          let max_age = staleness t in
+          let max_age = Config.staleness_s t.config in
           match ctx.routes.(dst) with
           (* Use the stored recommendation only while it is fresh and our
              own probes still consider its first link alive — we always

@@ -30,8 +30,6 @@ let create ~config ~self_port ~rng ~monitor eff =
 
 let view t = Option.map (fun c -> c.view) t.ctx
 
-let staleness t = float_of_int t.config.staleness_windows *. t.config.routing_interval_s
-
 let set_view t ~now:_ v =
   let stale =
     match t.ctx with
@@ -67,7 +65,7 @@ let recompute_routes t ctx ~now =
   let metric = t.config.metric in
   let m = View.size ctx.view in
   let own = Snapshot.cost_vector (make_snapshot t ctx) metric in
-  let max_age = staleness t in
+  let max_age = Config.staleness_s t.config in
   for dst = 0 to m - 1 do
     if dst <> ctx.self then begin
       match Table.fresh_row ctx.table dst ~now ~max_age with

@@ -1,5 +1,5 @@
-(* The view type moved to [lib/membership] so the decentralized
-   membership core can own it without a dependency cycle; this alias
-   keeps every overlay-side reference (and the type equalities across
-   libraries) intact. *)
+(* The view type lives in [lib/membership] so the decentralized
+   membership core can own it without a dependency cycle.  This alias
+   keeps the overlay-side name [Apor_overlay_core.View], which the
+   benchmark worker (perfbench/worker, frozen) names. *)
 include Apor_membership.View

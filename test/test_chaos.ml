@@ -357,7 +357,7 @@ let test_refused_join_fails () =
    `apor deploy-local`. *)
 let with_udp ~n ~base_port f =
   let module Udp = Apor_deploy.Udp_runtime in
-  let config = Runner.deploy_config in
+  let config = Apor_overlay_core.Config.deploy_local in
   match Udp.create ~config ~n ~base_port ~seed:3 () with
   | exception Unix.Unix_error _ -> ()
   | udp -> Fun.protect ~finally:(fun () -> Udp.close udp) (fun () -> f udp)

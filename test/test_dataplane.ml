@@ -15,7 +15,13 @@
      produce byte-identical report JSON;
    - closed-loop flows time out exactly Flows.timeout_s after each send,
      ignore deliveries that arrive after their timeout, and hold a
-     bounded number of timers whatever their rate, on both runtimes. *)
+     bounded number of timers whatever their rate, on both runtimes;
+   - the one driver, over a fake host with a hand-driven clock: the hop
+     budget drops, the intermediate relays straight to the destination,
+     a duplicated arrival counts once, open-loop arrivals keep their due
+     times when timers fire late, and a packet naming a port outside the
+     overlay is rejected — over real sockets too, where it used to raise
+     out of the runtime's loop. *)
 
 open Apor_util
 module Packet = Apor_dataplane.Packet
@@ -437,6 +443,139 @@ let test_closed_loop_pending_bounded () =
     Alcotest.failf "closed loop raised peak pending events from %d to %d (bound +%d)" quiet busy
       (3 * window)
 
+(* --- the driver over a fake host ------------------------------------------ *)
+
+module Host = Apor_dataplane.Host
+module Driver = Apor_dataplane.Driver
+
+(* A host with a hand-driven clock: every timer fires [lateness] seconds
+   after it is due, sends are recorded instead of delivered, and arrivals
+   are injected through the sink the driver installs. *)
+type fake = {
+  mutable clock : float;
+  mutable timers : (float * (unit -> unit)) list;
+  mutable wire : (int * Packet.t) list; (* next hop and packet, newest first *)
+  mutable sink : (now:float -> node:int -> Packet.t -> bool) option;
+  lateness : float;
+}
+
+let fake_host ?(lateness = 0.) ~n () =
+  let f = { clock = 0.; timers = []; wire = []; sink = None; lateness } in
+  let rec run_until horizon =
+    let due = List.sort (fun (a, _) (b, _) -> compare a b) f.timers in
+    match due with
+    | (at, g) :: rest when at +. f.lateness <= horizon ->
+        f.timers <- rest;
+        f.clock <- Float.max f.clock (at +. f.lateness);
+        g ();
+        run_until horizon
+    | _ -> f.clock <- Float.max f.clock horizon
+  in
+  let host =
+    {
+      Host.n;
+      now = (fun () -> f.clock);
+      schedule_at = (fun at g -> f.timers <- (at, g) :: f.timers);
+      run_until;
+      best_hop = (fun ~now:_ ~src:_ ~dst:_ -> None);
+      freshness = (fun ~now:_ ~src:_ ~dst:_ -> None);
+      current_view = (fun _ -> None);
+      accounted_ports = n;
+      accounted_bytes = (fun _ -> 0);
+      send = (fun ~src:_ ~dst p -> f.wire <- (dst, p) :: f.wire);
+      set_sink = (fun sink -> f.sink <- Some sink);
+      baseline = Host.Min_zero_hop;
+      think_floor_s = 0.;
+    }
+  in
+  (f, host)
+
+let arrive f ~node p =
+  match f.sink with
+  | Some sink -> sink ~now:f.clock ~node p
+  | None -> Alcotest.fail "no sink installed"
+
+let pkt ?(id = 7) ?(origin = 0) ?(dst = 3) hops =
+  { Packet.id; origin; dst; hops; sent_at_us = 0; payload_len = 16 }
+
+(* A driver whose workload never starts: arrivals are all injected. *)
+let idle_driver host =
+  let metrics = Metrics.create ~window_s:1. ~t0:0. in
+  let d = Driver.attach host ~spec:small_spec ~seed:1 ~metrics ~start_at:1e9 () in
+  (d, metrics)
+
+let test_driver_hop_budget () =
+  let f, host = fake_host ~n:4 () in
+  let _, metrics = idle_driver host in
+  check_bool "accepted" true (arrive f ~node:2 (pkt Packet.max_hops));
+  check_int "dropped" 1 (Metrics.dropped metrics);
+  check_int "nothing relayed" 0 (List.length f.wire);
+  ignore (arrive f ~node:2 (pkt (Packet.max_hops - 1)) : bool);
+  check_int "one under the budget is relayed" 1 (List.length f.wire);
+  check_int "still one drop" 1 (Metrics.dropped metrics)
+
+let test_driver_relay () =
+  let f, host = fake_host ~n:4 () in
+  ignore (idle_driver host);
+  ignore (arrive f ~node:1 (pkt ~origin:0 ~dst:3 0) : bool);
+  match f.wire with
+  | [ (next, p) ] ->
+      check_int "straight to the destination" 3 next;
+      check_int "hops incremented" 1 p.Packet.hops;
+      check_int "same id" 7 p.Packet.id;
+      check_int "same origin" 0 p.Packet.origin
+  | _ -> Alcotest.fail "expected exactly one relayed packet"
+
+let test_driver_duplicate () =
+  let f, host = fake_host ~n:4 () in
+  let metrics = Metrics.create ~window_s:1. ~t0:0. in
+  let d = Driver.attach host ~spec:small_spec ~seed:1 ~metrics () in
+  Driver.stop d;
+  match f.wire with
+  | [ (next, p) ] ->
+      check_int "sent direct" p.Packet.dst next;
+      f.clock <- 0.01;
+      ignore (arrive f ~node:next p : bool);
+      ignore (arrive f ~node:next p : bool);
+      check_int "sent" 1 (Driver.sent d);
+      check_int "delivered once" 1 (Driver.delivered d);
+      check_int "metrics delivered once" 1 (Metrics.delivered metrics)
+  | _ -> Alcotest.fail "expected exactly one originated datagram"
+
+(* The same seed on a punctual host and on one whose timers all fire
+   50 ms late: every send after the first (made at attach, not by a
+   timer) happens exactly that much later, so the schedule does not
+   drift by a lateness per arrival. *)
+let test_driver_open_loop_due_times () =
+  let send_times ~lateness =
+    let f, host = fake_host ~lateness ~n:4 () in
+    let metrics = Metrics.create ~window_s:1. ~t0:0. in
+    let d = Driver.attach host ~spec:small_spec ~seed:3 ~metrics () in
+    host.Host.run_until 2.;
+    Driver.stop d;
+    List.rev_map (fun (_, p) -> p.Packet.sent_at_us) f.wire
+  in
+  let punctual = send_times ~lateness:0. and late = send_times ~lateness:0.05 in
+  check_bool "about 200 arrivals" true (List.length punctual > 150);
+  let late_prefix = List.filteri (fun i _ -> i < List.length late) punctual in
+  check_bool "late host sends all but its last 50 ms" true
+    (List.length late >= List.length punctual - 15);
+  List.iteri
+    (fun i (a, b) ->
+      if i > 0 && abs (b - a - 50_000) > 1 then
+        Alcotest.failf "send %d: %d us late, expected 50000" i (b - a))
+    (List.combine late_prefix late)
+
+let test_driver_stray_port () =
+  let f, host = fake_host ~n:4 () in
+  let d, metrics = idle_driver host in
+  check_bool "dst outside the overlay" false (arrive f ~node:1 (pkt ~dst:0xFFFF 0));
+  check_bool "origin outside the overlay" false (arrive f ~node:3 (pkt ~origin:4 ~dst:3 0));
+  check_int "nothing relayed" 0 (List.length f.wire);
+  check_int "nothing dropped" 0 (Metrics.dropped metrics);
+  check_int "nothing delivered" 0 (Driver.delivered d);
+  check_bool "in range is accepted" true (arrive f ~node:1 (pkt ~dst:3 0))
+
 (* --- open loop on the real transport ---------------------------------------- *)
 
 (* Wall-clock timers fire late; an open loop that scheduled each arrival
@@ -445,7 +584,8 @@ let test_closed_loop_pending_bounded () =
    sandboxes make this skip, like the udp tests in test_chaos. *)
 let test_udp_open_loop_rate () =
   let module Udp = Apor_deploy.Udp_runtime in
-  match Udp.create ~config:Apor_chaos.Runner.deploy_config ~n:4 ~base_port:9420 ~seed:5 () with
+  let config = Apor_overlay_core.Config.deploy_local in
+  match Udp.create ~config ~n:4 ~base_port:9420 ~seed:5 () with
   | exception Unix.Unix_error _ -> ()
   | udp ->
       Fun.protect
@@ -470,7 +610,8 @@ let test_udp_open_loop_rate () =
    window and the control plane, not by the offered rate. *)
 let test_udp_closed_loop_timers () =
   let module Udp = Apor_deploy.Udp_runtime in
-  match Udp.create ~config:Apor_chaos.Runner.deploy_config ~n:4 ~base_port:9430 ~seed:6 () with
+  let config = Apor_overlay_core.Config.deploy_local in
+  match Udp.create ~config ~n:4 ~base_port:9430 ~seed:6 () with
   | exception Unix.Unix_error _ -> ()
   | udp ->
       Fun.protect
@@ -501,6 +642,38 @@ let test_udp_closed_loop_timers () =
           if busy > control + (3 * window) then
             Alcotest.failf "%d delivered; pending timers peaked at %d (control plane %d, bound +%d)"
               delivered busy control (3 * window))
+
+(* One data packet addressed to port 0xFFFF, sent from outside the
+   overlay to a live node, must be counted undecodable — not relayed into
+   [Udp_runtime.send_data], which raises on the out-of-range port. *)
+let test_udp_stray_datagram () =
+  let module Udp = Apor_deploy.Udp_runtime in
+  let config = Apor_overlay_core.Config.deploy_local in
+  let base_port = 9440 in
+  match Udp.create ~config ~n:4 ~base_port ~seed:7 () with
+  | exception Unix.Unix_error _ -> ()
+  | udp ->
+      Fun.protect
+        ~finally:(fun () -> Udp.close udp)
+        (fun () ->
+          Udp.start udp;
+          let metrics = Metrics.create ~window_s:1. ~t0:(Udp.now udp) in
+          let driver =
+            Apor_dataplane.Udp_driver.attach ~udp ~spec:small_spec ~seed:7 ~metrics
+              ~start_at:1e9 ()
+          in
+          let stray = Packet.encode (pkt ~origin:0 ~dst:0xFFFF 0) in
+          let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close sock)
+            (fun () ->
+              ignore
+                (Unix.sendto sock stray 0 (Bytes.length stray) []
+                   (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + 1))
+                  : int));
+          Udp.run udp ~duration:0.2;
+          check_int "counted undecodable" 1 (Udp.undecodable udp 1);
+          check_int "nothing delivered" 0 (Apor_dataplane.Udp_driver.delivered driver))
 
 let () =
   Alcotest.run "apor_dataplane"
@@ -537,9 +710,19 @@ let () =
           Alcotest.test_case "closed loop pending events bounded" `Slow
             test_closed_loop_pending_bounded;
         ] );
+      ( "driver",
+        [
+          Alcotest.test_case "hop budget drops" `Quick test_driver_hop_budget;
+          Alcotest.test_case "relay goes straight to dst" `Quick test_driver_relay;
+          Alcotest.test_case "duplicate counted once" `Quick test_driver_duplicate;
+          Alcotest.test_case "open loop keeps due times" `Quick
+            test_driver_open_loop_due_times;
+          Alcotest.test_case "stray port rejected" `Quick test_driver_stray_port;
+        ] );
       ( "run(udp)",
         [
           Alcotest.test_case "open loop keeps its rate" `Slow test_udp_open_loop_rate;
           Alcotest.test_case "closed loop timers bounded" `Slow test_udp_closed_loop_timers;
+          Alcotest.test_case "stray datagram is undecodable" `Slow test_udp_stray_datagram;
         ] );
     ]

@@ -4,6 +4,7 @@
 
 open Apor_sim
 open Apor_overlay
+open Apor_overlay_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -14,6 +14,7 @@
 open Apor_util
 open Apor_linkstate
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let check_bool = Alcotest.(check bool)

@@ -1,6 +1,7 @@
 open Apor_sim
 open Apor_core
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let check_int = Alcotest.(check int)

@@ -7,6 +7,7 @@ open Apor_linkstate
 open Apor_core
 open Apor_sim
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 open Apor_trace
 
@@ -15,9 +16,7 @@ let check_bool = Alcotest.(check bool)
 
 let metric = Metric.default
 
-let staleness_s =
-  float_of_int Config.quorum_default.Config.staleness_windows
-  *. Config.quorum_default.Config.routing_interval_s
+let staleness_s = Config.staleness_s Config.quorum_default
 
 let lspush node server = Event.Ls_push { node; server; view = 1 }
 
