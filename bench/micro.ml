@@ -1,8 +1,9 @@
 (* Bechamel microbenchmarks of the computational kernels: grid
-   construction, the best-hop scan, a full rendezvous round-two batch, the
-   wire codecs and the one-shot synchronous protocol — plus the protocol
-   scaling runs (delta vs full-table announcements across n) that back
-   PERFORMANCE.md and, with [--json], the BENCH_core.json baseline. *)
+   construction, the best-hop scan (over float vectors and over link-state
+   cells), a full rendezvous round-two batch, the wire codecs and the
+   one-shot synchronous protocol — plus the protocol scaling runs (delta
+   vs full-table announcements across n) that back PERFORMANCE.md and,
+   with [--json], the BENCH_core.json baseline. *)
 
 open Bechamel
 open Toolkit
@@ -46,20 +47,32 @@ let best_hop_tests =
              ignore (Best_hop.best ~src:0 ~dst:(n - 1) ~cost_from_src:from_src ~cost_to_dst:to_dst))))
     [ 64; 256; 1024 ]
 
+let snapshot_of_matrix m ~n i =
+  Snapshot.create ~owner:i
+    (Array.init n (fun j ->
+         let c = Costmat.get m i j in
+         if i = j then Entry.self
+         else if Float.is_finite c then Entry.make ~latency_ms:c ~loss:0. ~alive:true
+         else Entry.unreachable))
+
+(* The same scan as [best-hop], read straight off two link-state rows'
+   16-bit latency cells: the round-two cache's miss path. *)
+let best_hop_cells_tests =
+  List.map
+    (fun n ->
+      let m = matrix ~n ~seed:1 in
+      let src = snapshot_of_matrix m ~n 0 and dst = snapshot_of_matrix m ~n (n - 1) in
+      Test.make
+        ~name:(Printf.sprintf "best-hop-cells/%d" n)
+        (Staged.stage (fun () -> ignore (Best_hop.best_rows Metric.Latency ~src ~dst))))
+    [ 64; 256; 1024 ]
+
 let round2_tests =
   List.map
     (fun n ->
       let m = matrix ~n ~seed:2 in
-      let snapshot i =
-        Snapshot.create ~owner:i
-          (Array.init n (fun j ->
-               let c = Costmat.get m i j in
-               if i = j then Entry.self
-               else if Float.is_finite c then Entry.make ~latency_ms:c ~loss:0. ~alive:true
-               else Entry.unreachable))
-      in
       let grid = Grid.build n in
-      let clients = List.map snapshot (Grid.rendezvous_clients grid 0) in
+      let clients = List.map (snapshot_of_matrix m ~n) (Grid.rendezvous_clients grid 0) in
       match clients with
       | [] -> Test.make ~name:"round2/empty" (Staged.stage ignore)
       | client :: others ->
@@ -391,7 +404,8 @@ let run ?json ?(jobs = 1) ~quick ~seed () =
   section "Microbenchmarks (Bechamel, monotonic clock)";
   let tests =
     Test.make_grouped ~name:"apor"
-      (grid_tests @ best_hop_tests @ round2_tests @ codec_tests @ protocol_tests)
+      (grid_tests @ best_hop_tests @ best_hop_cells_tests @ round2_tests @ codec_tests
+     @ protocol_tests)
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

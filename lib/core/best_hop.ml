@@ -1,4 +1,5 @@
 open Apor_util
+open Apor_linkstate
 
 type choice = { hop : Nodeid.t; cost : float }
 
@@ -34,6 +35,53 @@ let brute_force_cost m src dst =
   in
   choice.cost
 
+(* --- the same scan over link-state rows ------------------------------- *)
+
+(* Under [Latency] a cell's cost is its 16-bit latency, so the scan adds
+   integers: a live sum is at most 2 * 65534, exact in a float, so every
+   comparison, tie and returned cost equals the float scan's.  A dead leg
+   (0xFFFF) is excluded inside the rare [c < best] branch, and [h = src]
+   with it; [h = dst] adds [dst]'s own zero cell to the direct cost, which
+   never beats it.  [best = max_int] stands for an unreachable [dst]. *)
+let scan_latency ~src ~dst a b =
+  let dead = Snapshot.dead_latency in
+  let direct = Snapshot.unsafe_latency a dst in
+  let best = ref (if direct = dead then max_int else direct) and hop = ref dst in
+  for h = 0 to Snapshot.size a - 1 do
+    let x = Snapshot.unsafe_latency a h and y = Snapshot.unsafe_latency b h in
+    let c = x + y in
+    if c < !best && x <> dead && y <> dead && h <> src then begin
+      best := c;
+      hop := h
+    end
+  done;
+  { hop = !hop; cost = (if !best = max_int then infinity else float_of_int !best) }
+
+let scan_float metric ~src ~dst a b =
+  let best = ref (Snapshot.unsafe_cost a metric dst) and hop = ref dst in
+  for h = 0 to Snapshot.size a - 1 do
+    if h <> src && h <> dst then begin
+      let c = Snapshot.unsafe_cost a metric h +. Snapshot.unsafe_cost b metric h in
+      if c < !best then begin
+        best := c;
+        hop := h
+      end
+    end
+  done;
+  { hop = !hop; cost = !best }
+
+(* Unchecked: both rows hold [n] cells and their owners differ. *)
+let scan_rows (metric : Metric.t) a b =
+  let src = Snapshot.owner a and dst = Snapshot.owner b in
+  match metric with
+  | Metric.Latency -> scan_latency ~src ~dst a b
+  | Metric.Loss_sensitive _ -> scan_float metric ~src ~dst a b
+
+let best_rows metric ~src ~dst =
+  if Snapshot.size src <> Snapshot.size dst then invalid_arg "Best_hop: row sizes differ";
+  if Snapshot.owner src = Snapshot.owner dst then invalid_arg "Best_hop: src = dst";
+  scan_rows metric src dst
+
 (* --- incremental per-pair cache ----------------------------------------- *)
 
 module Cache = struct
@@ -45,8 +93,6 @@ module Cache = struct
      so every comparison carries the same tie-break: replace only on
      strictly lower cost, or equal cost at strictly earlier order. *)
 
-  let scan = best
-
   type stats = {
     mutable hits : int;
     mutable misses : int;
@@ -54,34 +100,37 @@ module Cache = struct
     mutable rescans : int;
   }
 
-  (* Each owner holding a vector has a dense slot; the winner of pair
-     (src, dst) lives at index [slot src * cap + slot dst] of two flat
-     [cap * cap] arrays, [hop] (-1: not cached) and unboxed [cost].  An
-     owner's cached pairs are exactly its slot's row and column, so no
-     dependency index is kept. *)
+  (* Each owner whose row is held has a dense slot; [rows] holds, per
+     slot, the very snapshot the link-state table stores ([vacant] when
+     the slot is free), and the winner of pair (src, dst) lives at index
+     [slot src * cap + slot dst] of two flat [cap * cap] arrays, [hop]
+     (-1: not cached) and unboxed [cost].  An owner's cached pairs are
+     exactly its slot's row and column, so no dependency index is kept. *)
   type t = {
     n : int;
-    vectors : float array option array;
-    slot : int array; (* owner -> slot, -1 when it holds no vector *)
-    mutable owner_of : int array; (* slot -> owner, -1 when free *)
+    metric : Metric.t;
+    slot : int array; (* owner -> slot, -1 when no row is held *)
+    mutable rows : Snapshot.t array; (* slot -> row *)
     mutable cap : int;
     mutable hop : int array;
     mutable cost : float array;
     stats : stats;
   }
 
-  (* A rendezvous server's vectors are its ~2 sqrt n clients plus itself,
+  let vacant = Snapshot.create ~owner:0 [| Entry.self |]
+
+  (* A rendezvous server's rows are its ~2 sqrt n clients plus itself,
      so that is the starting width; failover clients grow it. *)
   let initial_cap n = min n ((2 * int_of_float (Float.sqrt (float_of_int n))) + 2)
 
-  let create ~n =
+  let create ~n ~metric =
     if n < 2 then invalid_arg "Best_hop.Cache.create: n must be at least 2";
     let cap = initial_cap n in
     {
       n;
-      vectors = Array.make n None;
+      metric;
       slot = Array.make n (-1);
-      owner_of = Array.make cap (-1);
+      rows = Array.make cap vacant;
       cap;
       hop = Array.make (cap * cap) (-1);
       cost = Array.make (cap * cap) infinity;
@@ -89,11 +138,6 @@ module Cache = struct
     }
 
   let stats t = (t.stats.hits, t.stats.misses, t.stats.updates, t.stats.rescans)
-
-  let vector t owner = t.vectors.(owner)
-
-  let check_owner t owner =
-    if owner < 0 || owner >= t.n then invalid_arg "Best_hop.Cache: owner out of range"
 
   (* Widen by half (capped at n, which always suffices) and copy the
      cached pairs to their new positions. *)
@@ -104,23 +148,22 @@ module Cache = struct
       Array.blit t.hop (s * cap) hop (s * cap') cap;
       Array.blit t.cost (s * cap) cost (s * cap') cap
     done;
-    let owner_of = Array.make cap' (-1) in
-    Array.blit t.owner_of 0 owner_of 0 cap;
+    let rows = Array.make cap' vacant in
+    Array.blit t.rows 0 rows 0 cap;
     t.cap <- cap';
     t.hop <- hop;
     t.cost <- cost;
-    t.owner_of <- owner_of
+    t.rows <- rows
 
   (* The lowest free slot, growing the arrays when every slot is taken. *)
   let assign_slot t owner =
     if t.slot.(owner) < 0 then begin
       let s = ref 0 in
-      while !s < t.cap && t.owner_of.(!s) >= 0 do
+      while !s < t.cap && t.rows.(!s) != vacant do
         incr s
       done;
       if !s = t.cap then grow t;
-      t.slot.(owner) <- !s;
-      t.owner_of.(!s) <- owner
+      t.slot.(owner) <- !s
     end
 
   (* Forget every cached pair that involves [owner]: its slot's row and
@@ -133,32 +176,34 @@ module Cache = struct
         t.hop.((k * t.cap) + s) <- -1
       done
 
-  let set_vector t owner v =
-    check_owner t owner;
-    if Array.length v <> t.n then
-      invalid_arg "Best_hop.Cache.set_vector: vector length differs from n";
-    t.vectors.(owner) <- Some v;
+  let check_row t row =
+    if Snapshot.size row <> t.n then invalid_arg "Best_hop.Cache: row size differs from n"
+
+  let set_row t row =
+    check_row t row;
+    let owner = Snapshot.owner row in
     assign_slot t owner;
+    t.rows.(t.slot.(owner)) <- row;
     invalidate_pairs t owner
 
-  let drop_vector t owner =
-    check_owner t owner;
-    t.vectors.(owner) <- None;
+  let drop_row t owner =
+    if owner < 0 || owner >= t.n then invalid_arg "Best_hop.Cache: owner out of range";
     invalidate_pairs t owner;
     let s = t.slot.(owner) in
     if s >= 0 then begin
       t.slot.(owner) <- -1;
-      t.owner_of.(s) <- -1
+      t.rows.(s) <- vacant
     end
 
-  let required_vector t owner =
-    match t.vectors.(owner) with
-    | Some v -> v
-    | None -> invalid_arg "Best_hop.Cache: no vector stored for this node"
+  let held t owner =
+    let s = t.slot.(owner) in
+    if s < 0 then invalid_arg "Best_hop.Cache: no row held for this node";
+    s
 
   let best t ~src ~dst =
-    let from_src = required_vector t src and to_dst = required_vector t dst in
-    let k = (t.slot.(src) * t.cap) + t.slot.(dst) in
+    let s = held t src and d = held t dst in
+    if src = dst then invalid_arg "Best_hop: src = dst";
+    let k = (s * t.cap) + d in
     let hop = t.hop.(k) in
     if hop >= 0 then begin
       t.stats.hits <- t.stats.hits + 1;
@@ -166,46 +211,60 @@ module Cache = struct
     end
     else begin
       t.stats.misses <- t.stats.misses + 1;
-      let choice = scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst in
+      let choice = scan_rows t.metric t.rows.(s) t.rows.(d) in
       t.hop.(k) <- choice.hop;
       t.cost.(k) <- choice.cost;
       choice
     end
 
+  (* The cost of going from [a]'s owner to [dst] via [h] ([h = dst]: the
+     direct path).  Inlined, so under [Latency] — the integer rule of
+     [scan_latency], [dst]'s own cell being zero — no float is boxed. *)
+  let[@inline] candidate_cost metric a b ~dst h =
+    match (metric : Metric.t) with
+    | Metric.Latency ->
+        let x = Snapshot.unsafe_latency a h and y = Snapshot.unsafe_latency b h in
+        if x = Snapshot.dead_latency || y = Snapshot.dead_latency then infinity
+        else float_of_int (x + y)
+    | Metric.Loss_sensitive _ ->
+        if h = dst then Snapshot.unsafe_cost a metric dst
+        else Snapshot.unsafe_cost a metric h +. Snapshot.unsafe_cost b metric h
+
   (* Scan order of a candidate within the canonical scan: the direct path
      (hop = dst) comes before every intermediary. *)
   let order ~dst hop = if hop = dst then -1 else hop
 
-  (* Repair cached pair [k] = (src, dst) against a batch of changed hop
-     ids.  Runs once per dependent pair per ingested announcement — the
-     inner loop of the incremental path — so it reads the incumbent
-     straight from the flat arrays, scans a plain int array and folds
-     with local refs instead of list closures. *)
-  let update_pair t ~src ~dst k (changed : int array) =
-    let from_src = required_vector t src and to_dst = required_vector t dst in
-    let cand_cost h = if h = dst then from_src.(dst) else from_src.(h) +. to_dst.(h) in
+  (* Repair cached pair [k] = (owner of [a], owner of [b]) against a batch
+     of changed hop ids.  Runs once per dependent pair per ingested
+     announcement — the inner loop of the incremental path — so it reads
+     the incumbent straight from the flat arrays, scans a plain int array
+     and folds with local refs instead of list closures. *)
+  let update_pair t a b k (changed : int array) =
+    let src = Snapshot.owner a and dst = Snapshot.owner b and metric = t.metric in
     let hop = t.hop.(k) in
     let affected = ref false in
     for i = 0 to Array.length changed - 1 do
       if changed.(i) = hop then affected := true
     done;
     let affected = !affected in
-    if affected && cand_cost hop > t.cost.(k) then begin
+    if affected && candidate_cost metric a b ~dst hop > t.cost.(k) then begin
       (* The incumbent got worse: any of the n candidates may now win,
          so this pair pays the full scan. *)
       t.stats.rescans <- t.stats.rescans + 1;
-      let choice = scan ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst in
+      let choice = scan_rows metric a b in
       t.hop.(k) <- choice.hop;
       t.cost.(k) <- choice.cost
     end
     else begin
       t.stats.updates <- t.stats.updates + 1;
       let best_hop = ref hop in
-      let best_cost = ref (if affected then cand_cost hop else t.cost.(k)) in
+      let best_cost =
+        ref (if affected then candidate_cost metric a b ~dst hop else t.cost.(k))
+      in
       for i = 0 to Array.length changed - 1 do
         let h = changed.(i) in
         if h <> src then begin
-          let c = cand_cost h in
+          let c = candidate_cost metric a b ~dst h in
           if c < !best_cost || (c = !best_cost && order ~dst h < order ~dst !best_hop)
           then begin
             best_hop := h;
@@ -217,51 +276,17 @@ module Cache = struct
       t.cost.(k) <- !best_cost
     end
 
-  (* Carry surviving vectors across a membership change.  [map.(r)] names
-     the old id whose state new id [r] inherits (None for fresh joiners or
-     nodes whose carried state the caller deems unusable).  Entries toward
-     vanished nodes become [infinity] — the same cost a snapshot reports
-     for an unreachable peer — and no cached pairs survive: pair winners
-     may shift when candidates vanish, so they are recomputed on demand by
-     the canonical scan, which keeps cached and scanned answers identical
-     by construction. *)
-  let remap t ~n ~map =
-    if n < 2 then invalid_arg "Best_hop.Cache.remap: n must be at least 2";
-    if Array.length map <> n then
-      invalid_arg "Best_hop.Cache.remap: map length differs from n";
-    let fresh = create ~n in
-    for r = 0 to n - 1 do
-      match map.(r) with
-      | None -> ()
-      | Some old ->
-          if old < 0 || old >= t.n then
-            invalid_arg "Best_hop.Cache.remap: mapped id out of range";
-          (match t.vectors.(old) with
-          | None -> ()
-          | Some v ->
-              let v' = Array.make n infinity in
-              for j = 0 to n - 1 do
-                match map.(j) with
-                | Some oldj -> v'.(j) <- v.(oldj)
-                | None -> ()
-              done;
-              fresh.vectors.(r) <- Some v';
-              assign_slot fresh r)
-    done;
-    fresh
-
-  let update_vector t owner ~changes =
-    let v = required_vector t owner in
+  let update_row t row ~changed =
+    check_row t row;
+    let s = held t (Snapshot.owner row) and cap = t.cap in
     List.iter
-      (fun (id, cost) ->
-        if id < 0 || id >= t.n then
-          invalid_arg "Best_hop.Cache.update_vector: id out of range";
-        v.(id) <- cost)
-      changes;
-    match changes with
+      (fun id -> if id < 0 || id >= t.n then invalid_arg "Best_hop.Cache: id out of range")
+      changed;
+    t.rows.(s) <- row;
+    match changed with
     | [] -> ()
     | _ ->
-        let changed = Array.of_list (List.map fst changes) in
+        let changed = Array.of_list changed in
         if Array.length changed > 8 && Array.length changed * 8 > t.n then
           (* A large slice of the row moved (steady-state measurement
              noise re-quantizing many entries at once).  Repairing every
@@ -270,18 +295,17 @@ module Cache = struct
              invalidation is idempotent where repeated repair is not —
              so spill to invalidation.  Queries see identical results
              either way: a miss reruns the canonical scan. *)
-          invalidate_pairs t owner
+          invalidate_pairs t (Snapshot.owner row)
         else begin
           (* The owner's cached pairs: its row (owner as src) and its
              column (owner as dst); the diagonal is never cached. *)
-          let s = t.slot.(owner) and cap = t.cap in
           for d = 0 to cap - 1 do
             let k = (s * cap) + d in
-            if t.hop.(k) >= 0 then update_pair t ~src:owner ~dst:t.owner_of.(d) k changed
+            if t.hop.(k) >= 0 then update_pair t row t.rows.(d) k changed
           done;
           for r = 0 to cap - 1 do
             let k = (r * cap) + s in
-            if t.hop.(k) >= 0 then update_pair t ~src:t.owner_of.(r) ~dst:owner k changed
+            if t.hop.(k) >= 0 then update_pair t t.rows.(r) row k changed
           done
         end
 end

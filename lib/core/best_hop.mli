@@ -7,6 +7,7 @@
     hot inner loop of the whole system. *)
 
 open Apor_util
+open Apor_linkstate
 
 type choice = {
   hop : Nodeid.t;  (** Intermediary, or [dst] itself for the direct path. *)
@@ -36,87 +37,93 @@ val brute_force_cost : Costmat.t -> Nodeid.t -> Nodeid.t -> float
 (** Reference oracle: cheapest one-hop (or direct) cost read straight off a
     full cost matrix.  O(n); for tests and figure generation. *)
 
+val best_rows : Metric.t -> src:Snapshot.t -> dst:Snapshot.t -> choice
+(** {!best} read straight off two link-state rows: [src]'s row gives the
+    costs out of its owner, [dst]'s row the costs into its owner (the
+    symmetric-metric reading round two uses).  Equals {!best} over the
+    rows' {!Snapshot.cost_vector}s, hop and cost, without building them.
+    Under [Metric.Latency] the scan adds the cells' 16-bit latencies as
+    integers (0xFFFF: dead); a live sum is at most [2 * 65534], exact in
+    a float, so every comparison and tie is the float scan's.  Under
+    [Loss_sensitive] it sums the float costs decoded from the cells.
+    @raise Invalid_argument when the rows' sizes differ or their owners
+    are equal. *)
+
 (** Incremental per-pair cache for rendezvous servers.
 
     A server recomputes {!best} for each of its client pairs every routing
-    interval, yet between intervals most cost vectors change in only a few
+    interval, yet between intervals most rows change in only a few
     entries (that is what makes delta announcements pay off).  [Cache]
-    stores one cost vector per client and the current winner per [(src,
-    dst)] pair, and on a delta re-examines only the changed candidates —
+    holds the current winner per [(src, dst)] pair of the rows it is told
+    about, and on a changed row re-examines only the changed candidates —
     O(changed hops) instead of O(n) — falling back to a full rescan when
     the incumbent hop itself got more expensive.
 
-    Results are {e exactly} those of {!best}, including tie-breaks (direct
-    first, then lowest hop id); the trace Oracle holds cached and scanned
-    answers to the same one-hop-optimality check.
+    Results are {e exactly} those of {!best} over the rows'
+    {!Snapshot.cost_vector}s, including tie-breaks (direct first, then
+    lowest hop id); the trace Oracle holds cached and scanned answers to
+    the same one-hop-optimality check.
 
-    {b Representation.} Each owner holding a vector gets a dense slot
-    (an [n]-entry slot index and its inverse); the winners live in two
-    flat [cap * cap] arrays indexed by [slot src * cap + slot dst], the
-    hop as an [int] (-1: not cached) and the cost as an unboxed [float].
-    [cap] starts at [2 * isqrt n + 2] — a rendezvous server's clients plus
-    itself — and grows by half, up to [n], when more owners arrive; growing
-    copies the cached pairs across.  An owner's cached pairs are its
-    slot's row and column, so no dependency index is kept.  Besides the
-    vectors themselves ([n] floats per owner), a cache costs
-    [n + cap + 2 cap^2] words.
+    {b Representation.} The cache stores no costs of its own: it holds,
+    by reference, the very {!Snapshot.t} the link-state table stores for
+    each owner, and reads costs from its 3-byte cells ({!best_rows}'
+    integer rule under [Latency]).  Each owner whose row is held gets a
+    dense slot (an [n]-entry slot index and a [cap]-entry slot-to-row
+    array); the winners live in two flat [cap * cap] arrays indexed by
+    [slot src * cap + slot dst], the hop as an [int] (-1: not cached) and
+    the cost as an unboxed [float].  [cap] starts at [2 * isqrt n + 2] — a
+    rendezvous server's clients plus itself — and grows by half, up to
+    [n], when more owners arrive; growing copies the cached pairs across.
+    An owner's cached pairs are its slot's row and column, so no
+    dependency index is kept.  Besides the rows, which the table owns, a
+    cache costs [n + cap + 2 cap^2] words.
 
-    {b Costs.} {!best}: O(1) on a hit, one O(n) scan on a miss.
-    {!set_vector} and {!drop_vector}: O(cap) to clear the owner's row and
-    column (plus an O(cap^2) copy when the arrays grow).
-    {!update_vector}: O(changes) to patch the vector, then either O(cap)
-    to invalidate the row and column (large batches) or an O(cap) walk
-    that repairs each cached pair in O(changes), O(n) when the incumbent
-    hop got worse.  {!remap}: O(n) per carried vector. *)
+    {b Costs.} {!best}: O(1) on a hit, one O(n) scan of two rows' cells
+    on a miss.  {!set_row} and {!drop_row}: O(cap) to clear the owner's
+    row and column (plus an O(cap^2) copy when the arrays grow).
+    {!update_row}: O(cap) to invalidate the row and column (large
+    batches), or an O(cap) walk that repairs each cached pair in
+    O(changes), O(n) when the incumbent hop got worse.
+
+    {b Contract.} Whoever changes a held row must say so: {!set_row} when
+    the row is replaced wholesale, {!update_row} when it changed in place
+    or was replaced by a copy differing at known ids. *)
 module Cache : sig
   type t
 
-  val create : n:int -> t
-  (** Empty cache over an overlay of [n] nodes: no vectors, no pairs.
+  val create : n:int -> metric:Metric.t -> t
+  (** Empty cache over an overlay of [n] nodes: no rows, no pairs.
       @raise Invalid_argument when [n < 2]. *)
 
-  val set_vector : t -> Nodeid.t -> float array -> unit
-  (** Install (or wholesale replace) [owner]'s cost vector, invalidating
-      every cached pair that involves [owner].  The array is kept by
-      reference and mutated by {!update_vector} — hand over a fresh one.
-      @raise Invalid_argument on a length mismatch. *)
+  val set_row : t -> Snapshot.t -> unit
+  (** Hold [row] (by reference, never copied) as its owner's row,
+      replacing any previous one and invalidating every cached pair that
+      involves the owner.
+      @raise Invalid_argument when the row's size is not [n]. *)
+
+  val update_row : t -> Snapshot.t -> changed:Nodeid.t list -> unit
+  (** Its owner's row now reads as [row] — the held snapshot mutated in
+      place, or a replacement — and differs from the previous one only at
+      the ids in [changed]; hold [row] and incrementally repair every
+      cached pair involving the owner.  When the batch is large relative
+      to [n] (steady-state measurement noise rather than a link event),
+      the dependent pairs are invalidated instead — the next query's
+      canonical rescan is cheaper than per-change repair, and answers are
+      identical either way.
+      @raise Invalid_argument when no row is held for the owner, the
+      row's size is not [n], or an id is out of range. *)
+
+  val drop_row : t -> Nodeid.t -> unit
+  (** Forget [owner]'s row and invalidate every cached pair using it
+      (membership departure or staleness expiry). *)
+
+  val best : t -> src:Nodeid.t -> dst:Nodeid.t -> choice
+  (** The cached winner for [(src, dst)], computing and caching it with a
+      full {!best_rows} scan on a miss.
+      @raise Invalid_argument when either row is absent or [src = dst]. *)
 
   val stats : t -> int * int * int * int
   (** [(hits, misses, updates, rescans)] — pair lookups served from cache,
       pair lookups that ran a full scan, incremental O(changes) pair
       updates, and incremental updates that degraded to a full rescan. *)
-
-  val vector : t -> Nodeid.t -> float array option
-  (** The stored cost vector for [owner], if any. *)
-
-  val drop_vector : t -> Nodeid.t -> unit
-  (** Forget [owner]'s vector and invalidate every cached pair using it
-      (membership departure or staleness expiry). *)
-
-  val best : t -> src:Nodeid.t -> dst:Nodeid.t -> choice
-  (** The cached winner for [(src, dst)], computing and caching it with a
-      full {!best} scan on a miss.
-      @raise Invalid_argument when either vector is absent or [src = dst]. *)
-
-  val remap : t -> n:int -> map:Nodeid.t option array -> t
-  (** A fresh cache of size [n] carrying the survivors of a membership
-      change: [map.(r)] is the old id whose stored vector new id [r]
-      inherits ([None] for joiners, or survivors whose carried state the
-      caller chose to drop).  Carried vectors are permuted through [map];
-      entries toward vanished ids become [infinity], matching what a
-      snapshot reports for an unreachable peer.  No cached pairs are
-      carried — winners can shift when candidates vanish, so pairs are
-      recomputed on demand, keeping answers canonical.
-      @raise Invalid_argument when [n < 2], the map's length is not [n],
-      or a mapped id is out of range for the source cache. *)
-
-  val update_vector : t -> Nodeid.t -> changes:(Nodeid.t * float) list -> unit
-  (** Apply [changes] ([(id, new cost)]) to [owner]'s stored vector in
-      place and incrementally repair every cached pair involving [owner].
-      When the batch is large relative to [n] (steady-state measurement
-      noise rather than a link event), the dependent pairs are invalidated
-      instead — the next query's canonical rescan is cheaper than
-      per-change repair, and answers are identical either way.
-      @raise Invalid_argument when no vector is stored or an id is out of
-      range. *)
 end

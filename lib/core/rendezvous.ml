@@ -5,22 +5,13 @@ let recommend_pair ~metric ~src ~dst =
     invalid_arg "Rendezvous.recommend_pair: snapshot sizes differ";
   if Snapshot.owner src = Snapshot.owner dst then
     invalid_arg "Rendezvous.recommend_pair: identical owners";
-  Best_hop.best ~src:(Snapshot.owner src) ~dst:(Snapshot.owner dst)
-    ~cost_from_src:(Snapshot.cost_vector src metric)
-    ~cost_to_dst:(Snapshot.cost_vector dst metric)
+  Best_hop.best_rows metric ~src ~dst
 
 let recommendations_for ~metric ~client ~others =
   let me = Snapshot.owner client in
-  let cost_from_src = Snapshot.cost_vector client metric in
   List.filter_map
     (fun other ->
       let owner = Snapshot.owner other in
       if owner = me then None
-      else begin
-        let choice =
-          Best_hop.best ~src:me ~dst:owner ~cost_from_src
-            ~cost_to_dst:(Snapshot.cost_vector other metric)
-        in
-        Some (owner, choice)
-      end)
+      else Some (owner, Best_hop.best_rows metric ~src:client ~dst:other))
     others

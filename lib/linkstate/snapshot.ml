@@ -88,12 +88,23 @@ let live_cost t metric j =
   | Metric.Loss_sensitive _ ->
       Metric.cost metric { Entry.latency_ms = latency_ms t j; loss = loss t j; alive = true }
 
+(* Unchecked: callers validate [j] once (a row's size is checked when it
+   is stored).  One 16-bit load per cell, as [Bytes.get_uint16_be]. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external swap16 : int -> int = "%bswap16"
+
+let unsafe_latency t j =
+  let x = get16u t.cells (cell_bytes * j) in
+  if Sys.big_endian then x else swap16 x
+
+let unsafe_cost t metric j =
+  if unsafe_latency t j <> dead_latency then live_cost t metric j else infinity
+
 let cost t metric j =
   check t j;
-  if alive t j then live_cost t metric j else infinity
+  unsafe_cost t metric j
 
-let cost_vector t metric =
-  Array.init (size t) (fun j -> if alive t j then live_cost t metric j else infinity)
+let cost_vector t metric = Array.init (size t) (unsafe_cost t metric)
 
 let reaches t j =
   check t j;

@@ -9,7 +9,8 @@
     snapshot of [n] entries occupies one [3n]-byte string plus two words,
     and byte equality is entry equality.
 
-    {b Costs.} {!entry}, {!cost} and {!reaches} decode one cell in O(1);
+    {b Costs.} {!entry}, {!cost}, {!reaches} and their unchecked
+    {!unsafe_latency} and {!unsafe_cost} decode one cell in O(1);
     {!cost_vector}, {!diff}, {!equal}, {!alive_count} and {!copy} are one
     O(n) pass over the bytes ({!copy} is a [3n]-byte blit); {!overwrite}
     is O(changes); {!wire_bytes} is O(1) and {!of_wire} one O(n) copy. *)
@@ -49,6 +50,17 @@ val entry : t -> Nodeid.t -> Entry.t
 
 val cost : t -> Metric.t -> Nodeid.t -> float
 (** [cost t metric j]: scalar cost of the owner's link to [j]. *)
+
+val dead_latency : int
+(** [0xFFFF]: the raw latency of every dead cell. *)
+
+val unsafe_latency : t -> Nodeid.t -> int
+(** Cell [j]'s raw 16-bit latency in whole milliseconds, {!dead_latency}
+    when the link is dead, without a bounds check: [j] must lie in
+    [\[0, size t)].  The round-two scan kernel's reader. *)
+
+val unsafe_cost : t -> Metric.t -> Nodeid.t -> float
+(** {!cost} without the bounds check: [j] must lie in [\[0, size t)]. *)
 
 val cost_vector : t -> Metric.t -> float array
 (** All costs as a fresh array indexed by destination. *)

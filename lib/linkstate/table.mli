@@ -61,8 +61,10 @@ val apply_delta :
     the whole row — the delta path's dominant cost at scale.  Only pass
     [true] under the contract that snapshots read out of this table
     (including the [`Applied] result) are never retained across a
-    subsequent [apply_delta]: the emulation's router does exactly that
-    when no trace collector (which mirrors and keeps rows) is attached. *)
+    subsequent [apply_delta], except by a reader told of every
+    [`Applied] that re-reads the row's cells (the router's round-two
+    cache): the emulation's router does exactly that when no trace
+    collector (which mirrors and keeps rows) is attached. *)
 
 val row : t -> Nodeid.t -> Snapshot.t option
 (** Latest snapshot from node [i], regardless of age. *)

@@ -62,7 +62,7 @@ type output =
   | Send of { dst_port : int; msg : Wire.t }
   | Set_timer of { timer : timer; delay : float }
   | Install of View.t
-      (** hand the new view to the router (grid rebuild + remap) *)
+      (** hand the new view to the router (grid rebuild, fresh routing state) *)
   | Trace of Apor_trace.Event.t
 
 type t

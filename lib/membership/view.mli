@@ -38,5 +38,5 @@ val equal : t -> t -> bool
 
 val rank_map : prev:t -> next:t -> Nodeid.t option array
 (** For each rank of [next], the rank the same port held in [prev]
-    ([None] for a fresh joiner).  Feeds {!Apor_quorum.Grid.remap} /
-    [Best_hop.Cache.remap] so routing state survives a view change. *)
+    ([None] for a fresh joiner).  The router carries learned routes
+    across a view change through it. *)

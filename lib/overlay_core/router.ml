@@ -42,7 +42,7 @@ type ctx = {
      grid, cached because the failover maintenance pass asks for every
      destination every tick. *)
   connecting_memo : Nodeid.t list option array;
-  (* Incremental round-two state: cost vectors mirroring our table rows,
+  (* Incremental round-two state: pair winners over our table's own rows,
      repaired in O(changes) per ingested announcement. *)
   cache : Best_hop.Cache.t option;
 }
@@ -92,17 +92,15 @@ let set_view t ~now v =
            the old-rank-of-new-rank map.  Learned routes survive whenever
            destination and hop are both still members (a one-hop path's
            validity does not depend on grid geometry; received_at keeps
-           aging them out as usual).  Cached cost vectors additionally
-           require the owner's rendezvous geometry to be intact
-           (Grid.remap): a node whose row/column composition changed will
-           be served by different rendezvous, and its stale vector must
-           not answer round-two queries meanwhile.  Tables, failover
-           episodes and recommendation timestamps are deliberately
-           dropped — their consumers (oracle mirrors, failover pacing)
-           are keyed by view version and reset cleanly. *)
-        let carried_routes, carried_cache =
+           aging them out as usual).  Tables, the round-two cache,
+           failover episodes and recommendation timestamps are
+           deliberately dropped — their consumers (oracle mirrors,
+           failover pacing) are keyed by view version and reset cleanly,
+           and every row round two reads is stored anew in this view
+           before its first use. *)
+        let carried_routes =
           match t.ctx with
-          | None -> (None, None)
+          | None -> None
           | Some old ->
               let map = View.rank_map ~prev:old.view ~next:v in
               let inv = Array.make (View.size old.view) (-1) in
@@ -120,14 +118,7 @@ let set_view t ~now v =
                       | Some _ | None -> ())
                   | None -> ())
                 map;
-              let cache =
-                match old.cache with
-                | Some c when t.config.incremental_rendezvous && m >= 2 ->
-                    let kept = Grid.remap ~prev:old.grid ~next:grid ~map in
-                    Some (Best_hop.Cache.remap c ~n:m ~map:kept)
-                | Some _ | None -> None
-              in
-              (Some routes, cache)
+              Some routes
         in
         t.ctx <-
           Some
@@ -160,12 +151,9 @@ let set_view t ~now v =
               last_sent = Hashtbl.create 8;
               connecting_memo = Array.make m None;
               cache =
-                (match carried_cache with
-                | Some _ as c -> c
-                | None ->
-                    if t.config.incremental_rendezvous && m >= 2 then
-                      Some (Best_hop.Cache.create ~n:m)
-                    else None);
+                (if t.config.incremental_rendezvous && m >= 2 then
+                   Some (Best_hop.Cache.create ~n:m ~metric:t.config.metric)
+                 else None);
             };
         (match t.trace with
         | Some emit ->
@@ -308,9 +296,6 @@ let announce_to t ctx ~now rank ~epoch ~delta snapshot =
       emit_push t ctx rank
   | Some _ | None -> announce_full t ctx ~now rank ~epoch snapshot
 
-let cost_changes metric changes =
-  List.map (fun (id, e) -> (id, Metric.cost metric e)) changes
-
 let start_failover t ctx ~now ~tried dst =
   let excluded =
     List.fold_left
@@ -451,30 +436,20 @@ let tick t ~now =
       | None -> ());
       (* One diff of this tick's snapshot against the previous one feeds
          both consumers — the incremental cache repair and the delta
-         announcement — instead of each diffing the pair separately. *)
-      let have_own_vector =
-        match ctx.cache with
-        | Some cache -> Best_hop.Cache.vector cache ctx.self <> None
-        | None -> false
-      in
+         announcement — instead of each diffing the pair separately.  The
+         cache has held our own row since the previous tick of this view
+         exactly when [last_announced] is set. *)
       let changes_prev =
         match ctx.last_announced with
-        | Some prev when t.config.delta_link_state || have_own_vector ->
+        | Some prev when t.config.delta_link_state || Option.is_some ctx.cache ->
             Some (Snapshot.diff ~prev ~next:snapshot)
         | Some _ | None -> None
       in
-      (* Keep our own cost vector in the incremental cache, by diff against
-         the previous tick's snapshot when we have one. *)
-      (match ctx.cache with
-      | Some cache -> (
-          match changes_prev with
-          | Some changes when have_own_vector ->
-              Best_hop.Cache.update_vector cache ctx.self
-                ~changes:(cost_changes metric changes)
-          | Some _ | None ->
-              Best_hop.Cache.set_vector cache ctx.self
-                (Snapshot.cost_vector snapshot metric))
-      | None -> ());
+      (match (ctx.cache, changes_prev) with
+      | Some cache, Some changes ->
+          Best_hop.Cache.update_row cache snapshot ~changed:(List.map fst changes)
+      | Some cache, None -> Best_hop.Cache.set_row cache snapshot
+      | None, _ -> ());
       let delta =
         if t.config.delta_link_state then
           match changes_prev with
@@ -508,20 +483,10 @@ let tick t ~now =
         match ctx.cache with
         | Some cache -> fun ~src ~dst -> Best_hop.Cache.best cache ~src ~dst
         | None ->
-            (* Baseline: rebuild every fresh row's cost vector and rescan
-               all n candidates for every pair, every tick. *)
-            let vectors = Hashtbl.create 32 in
-            List.iter
-              (fun rank ->
-                match Table.row ctx.table rank with
-                | Some row ->
-                    Hashtbl.replace vectors rank (Snapshot.cost_vector row metric)
-                | None -> ())
-              fresh_ranks;
-            fun ~src ~dst ->
-              Best_hop.best ~src ~dst
-                ~cost_from_src:(Hashtbl.find vectors src)
-                ~cost_to_dst:(Hashtbl.find vectors dst)
+            (* Baseline: rescan all n candidates for every pair, every
+               tick. *)
+            let row rank = Option.get (Table.row ctx.table rank) in
+            fun ~src ~dst -> Best_hop.best_rows metric ~src:(row src) ~dst:(row dst)
       in
       let clients = List.filter (fun rank -> rank <> ctx.self) fresh_ranks in
       List.iter
@@ -594,14 +559,13 @@ let start t =
 (* --- message handling -------------------------------------------------- *)
 
 (* A freshly stored row must reach both consumers in lockstep: the
-   incremental cache (which answers round-two queries from it) and the
-   trace, whose [Ls_ingest] the oracle mirrors.  Emitting only on an
-   actual store keeps the oracle's mirror equal to the table even when
-   out-of-order packets are rejected. *)
+   incremental cache (which holds it and answers round-two queries from
+   its cells) and the trace, whose [Ls_ingest] the oracle mirrors.
+   Emitting only on an actual store keeps the oracle's mirror equal to
+   the table even when out-of-order packets are rejected. *)
 let row_stored t ctx ~version owner snapshot =
   (match ctx.cache with
-  | Some cache ->
-      Best_hop.Cache.set_vector cache owner (Snapshot.cost_vector snapshot t.config.metric)
+  | Some cache -> Best_hop.Cache.set_row cache snapshot
   | None -> ());
   match t.trace with
   | Some emit ->
@@ -623,21 +587,18 @@ let handle_link_state_delta t ~now ~view:version (delta : Wire.Delta.t) =
   | Some ctx
     when View.version ctx.view = version && delta.Wire.Delta.owner <> ctx.self -> (
       let owner = delta.Wire.Delta.owner in
-      (* Without a trace attached, nothing retains snapshots read from the
-         table (the cache copies costs out immediately), so the table may
-         recycle its private row copies in place; the oracle's mirror
-         requires the copy semantics. *)
+      (* Without a trace attached, only the cache retains snapshots read
+         from the table, and it is told of every change below, so the
+         table may recycle its private row copies in place; the oracle's
+         mirror requires the copy semantics. *)
       match
         Table.apply_delta ~reuse:(Option.is_none t.trace) ctx.table delta ~now
       with
       | `Applied snapshot -> (
           (match ctx.cache with
-          | Some cache when Best_hop.Cache.vector cache owner <> None ->
-              Best_hop.Cache.update_vector cache owner
-                ~changes:(cost_changes t.config.metric delta.Wire.Delta.changes)
           | Some cache ->
-              Best_hop.Cache.set_vector cache owner
-                (Snapshot.cost_vector snapshot t.config.metric)
+              Best_hop.Cache.update_row cache snapshot
+                ~changed:(List.map fst delta.Wire.Delta.changes)
           | None -> ());
           match t.trace with
           | Some emit ->

@@ -64,24 +64,19 @@ let make_snapshot t ctx =
 let recompute_routes t ctx ~now =
   let metric = t.config.metric in
   let m = View.size ctx.view in
-  let own = Snapshot.cost_vector (make_snapshot t ctx) metric in
+  let own = make_snapshot t ctx in
   let max_age = Config.staleness_s t.config in
   for dst = 0 to m - 1 do
     if dst <> ctx.self then begin
-      match Table.fresh_row ctx.table dst ~now ~max_age with
-      | None ->
-          (* No announcement from dst: fall back to the direct link view. *)
-          ctx.routes.(dst) <-
-            (if Float.is_finite own.(dst) then
-               Some (Best_hop.direct ~dst ~cost:own.(dst))
-             else None)
-      | Some row ->
-          let choice =
-            Best_hop.best ~src:ctx.self ~dst ~cost_from_src:own
-              ~cost_to_dst:(Snapshot.cost_vector row metric)
-          in
-          ctx.routes.(dst) <-
-            (if Float.is_finite choice.Best_hop.cost then Some choice else None)
+      let choice =
+        match Table.fresh_row ctx.table dst ~now ~max_age with
+        | None ->
+            (* No announcement from dst: fall back to the direct link view. *)
+            Best_hop.direct ~dst ~cost:(Snapshot.cost own metric dst)
+        | Some row -> Best_hop.best_rows metric ~src:own ~dst:row
+      in
+      ctx.routes.(dst) <-
+        (if Float.is_finite choice.Best_hop.cost then Some choice else None)
     end
   done
 

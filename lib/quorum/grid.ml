@@ -160,48 +160,6 @@ let connecting t i j =
 
 let failover_candidates t ~dst = rendezvous_servers t dst
 
-let degree t id =
-  let d = ref 0 in
-  iter_servers_desc t id (fun _ -> incr d);
-  !d
-
-(* Which survivors of a membership change keep their rendezvous geometry?
-   [map.(r)] is the old rank of the node now at rank [r] (None = joiner).
-   A survivor's per-view rendezvous state (cached cost vectors, routes
-   learned from its servers) stays meaningful only when its server set is
-   the same set of *nodes* in both grids: every new server maps to an old
-   rank, and those old ranks are exactly the old server set.  Joiners and
-   survivors whose row/column composition shifted get None — their state
-   must be rebuilt from scratch.  Set equality is checked without building
-   sets: every mapped server must serve the old rank in [prev], and the
-   distinct ones (stamped in [seen]) must be as many as its old degree. *)
-let remap ~prev ~next ~map =
-  if Array.length map <> next.n then
-    invalid_arg "Grid.remap: map length differs from next grid size";
-  Array.iter
-    (function
-      | Some old_r when old_r < 0 || old_r >= prev.n ->
-          invalid_arg "Grid.remap: mapped rank out of range for prev grid"
-      | Some _ | None -> ())
-    map;
-  let seen = Array.make prev.n (-1) in
-  Array.mapi
-    (fun r old ->
-      match old with
-      | None -> None
-      | Some old_r ->
-          let same = ref true and distinct = ref 0 in
-          iter_servers_desc next r (fun s ->
-              match map.(s) with
-              | Some old_s when serves prev old_s old_r ->
-                  if seen.(old_s) <> r then begin
-                    seen.(old_s) <- r;
-                    incr distinct
-                  end
-              | Some _ | None -> same := false (* a joiner entered the quorum *));
-          if !same && !distinct = degree prev old_r then Some old_r else None)
-    map
-
 (* Node 0's row and column are both full, and an extra assignment only
    ever stands in for a column-mate or row-mate its holder lost to a blank
    cell, so no node exceeds node 0's degree. *)

@@ -35,8 +35,7 @@
     - [common_rendezvous], [connecting]: O(1) plus the extras of the pair
       when [i] and [j] share neither row nor column (the two crossing
       cells, and at most [cols - last_row_length] extra partners), O(d) when
-      they share one;
-    - [remap]: O(size next * d), with one [size prev] scratch array. *)
+      they share one. *)
 
 open Apor_util
 
@@ -98,19 +97,6 @@ val failover_candidates : t -> dst:Nodeid.t -> Nodeid.t list
 (** The [~2*sqrt n] nodes receiving [dst]'s link state — the pool a node
     draws failover rendezvous servers from (Section 4.1).  Equals
     [rendezvous_servers t dst]. *)
-
-val remap :
-  prev:t -> next:t -> map:Nodeid.t option array -> Nodeid.t option array
-(** Survivor filter for a view change, used to decide whose per-view
-    routing state (cached cost vectors, learned routes) may be carried
-    across.  [map.(r)] names the {e prev}-grid rank of the node now at
-    {e next}-grid rank [r] ([None] for joiners — see
-    [Apor_membership.View.rank_map]).  The result keeps [map.(r)] exactly
-    when the node survived {e and} its rendezvous-server set denotes the
-    same set of nodes in both grids (every new server is a survivor, and
-    their old ranks equal the old server set); otherwise [None].
-    @raise Invalid_argument when the map's length is not [size next] or a
-    mapped rank is out of range for [prev]. *)
 
 val max_rendezvous_degree : t -> int
 (** Largest [|R_i|] over all nodes — the load-balance bound of Theorem 1. *)

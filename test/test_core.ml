@@ -113,293 +113,185 @@ let best_hop_matches_brute_force =
       done;
       !ok)
 
-(* --- Best_hop.Cache -------------------------------------------------------- *)
-
-(* Drive the incremental cache with a random sequence of vector installs
-   and entry updates, and require every answer to equal the full scan over
-   reference copies of the vectors — including the hop choice, i.e. the
-   tie-breaks, not just the cost. *)
-let cache_matches_scan_property =
-  QCheck.Test.make ~name:"incremental cache = full rescan (random op sequences)"
-    ~count:100
-    QCheck.(pair (int_range 2 12) int)
-    (fun (n, seed) ->
-      let rng = Rng.make ~seed in
-      let cache = Best_hop.Cache.create ~n in
-      let reference = Array.init n (fun _ -> Array.make n infinity) in
-      let random_cost () =
-        if Rng.bernoulli rng ~p:0.2 then infinity else Float.round (Rng.float rng 999.)
-      in
-      let install owner =
-        let v = Array.init n (fun j -> if j = owner then 0. else random_cost ()) in
-        reference.(owner) <- Array.copy v;
-        Best_hop.Cache.set_vector cache owner v
-      in
-      for owner = 0 to n - 1 do
-        install owner
-      done;
-      let ok = ref true in
-      let check_all () =
-        for src = 0 to n - 1 do
-          for dst = 0 to n - 1 do
-            if src <> dst then begin
-              let cached = Best_hop.Cache.best cache ~src ~dst in
-              let scanned =
-                Best_hop.best ~src ~dst ~cost_from_src:reference.(src)
-                  ~cost_to_dst:reference.(dst)
-              in
-              if cached <> scanned then ok := false
-            end
-          done
-        done
-      in
-      check_all ();
-      for _step = 1 to 20 do
-        let owner = Rng.int rng n in
-        if Rng.bernoulli rng ~p:0.25 then install owner
-        else begin
-          (* entry-wise update, the delta-announcement path *)
-          let changes =
-            List.filter_map
-              (fun j ->
-                if j <> owner && Rng.bernoulli rng ~p:0.3 then Some (j, random_cost ())
-                else None)
-              (List.init n Fun.id)
-          in
-          List.iter (fun (j, c) -> reference.(owner).(j) <- c) changes;
-          Best_hop.Cache.update_vector cache owner ~changes
-        end;
-        check_all ()
-      done;
-      (* the sequences above must actually exercise the incremental path *)
-      let _, _, updates, _ = Best_hop.Cache.stats cache in
-      !ok && (updates > 0 || n = 2))
-
-(* The Hashtbl-backed cache the slot-indexed one replaced: winners keyed
-   by [src * n + dst], plus per-node dependency sets naming the cached
-   pairs each vector feeds.  Same answers, tie-breaks and stats. *)
-module Reference = struct
-  type t = {
-    n : int;
-    vectors : float array option array;
-    pairs : (int, Best_hop.choice) Hashtbl.t;
-    deps : (int, unit) Hashtbl.t array;
-    mutable hits : int;
-    mutable misses : int;
-    mutable updates : int;
-    mutable rescans : int;
-  }
-
-  let create ~n =
-    {
-      n;
-      vectors = Array.make n None;
-      pairs = Hashtbl.create 64;
-      deps = Array.init n (fun _ -> Hashtbl.create 8);
-      hits = 0;
-      misses = 0;
-      updates = 0;
-      rescans = 0;
-    }
-
-  let stats t = (t.hits, t.misses, t.updates, t.rescans)
-
-  let invalidate_pairs t owner =
-    Hashtbl.iter (fun key () -> Hashtbl.remove t.pairs key) t.deps.(owner);
-    Hashtbl.reset t.deps.(owner)
-
-  let set_vector t owner v =
-    t.vectors.(owner) <- Some v;
-    invalidate_pairs t owner
-
-  let drop_vector t owner =
-    t.vectors.(owner) <- None;
-    invalidate_pairs t owner
-
-  let vector t owner = Option.get t.vectors.(owner)
-
-  let best t ~src ~dst =
-    let key = (src * t.n) + dst in
-    match Hashtbl.find_opt t.pairs key with
-    | Some choice ->
-        t.hits <- t.hits + 1;
-        choice
-    | None ->
-        t.misses <- t.misses + 1;
-        let choice =
-          Best_hop.best ~src ~dst ~cost_from_src:(vector t src) ~cost_to_dst:(vector t dst)
-        in
-        Hashtbl.replace t.pairs key choice;
-        Hashtbl.replace t.deps.(src) key ();
-        Hashtbl.replace t.deps.(dst) key ();
-        choice
-
-  let order ~dst hop = if hop = dst then -1 else hop
-
-  let update_pair t ~src ~dst key (incumbent : Best_hop.choice) changed =
-    let from_src = vector t src and to_dst = vector t dst in
-    let cand_cost h = if h = dst then from_src.(dst) else from_src.(h) +. to_dst.(h) in
-    let affected = List.mem incumbent.Best_hop.hop changed in
-    if affected && cand_cost incumbent.Best_hop.hop > incumbent.Best_hop.cost then begin
-      t.rescans <- t.rescans + 1;
-      Hashtbl.replace t.pairs key
-        (Best_hop.best ~src ~dst ~cost_from_src:from_src ~cost_to_dst:to_dst)
-    end
-    else begin
-      t.updates <- t.updates + 1;
-      let best =
-        List.fold_left
-          (fun (bh, bc) h ->
-            if h = src then (bh, bc)
-            else
-              let c = cand_cost h in
-              if c < bc || (c = bc && order ~dst h < order ~dst bh) then (h, c) else (bh, bc))
-          ( incumbent.Best_hop.hop,
-            if affected then cand_cost incumbent.Best_hop.hop else incumbent.Best_hop.cost )
-          changed
-      in
-      Hashtbl.replace t.pairs key { Best_hop.hop = fst best; cost = snd best }
-    end
-
-  let update_vector t owner ~changes =
-    let v = vector t owner in
-    List.iter (fun (id, cost) -> v.(id) <- cost) changes;
-    if changes <> [] then begin
-      let changed = List.map fst changes in
-      let count = List.length changed in
-      if count > 8 && count * 8 > t.n then invalidate_pairs t owner
-      else
-        let deps = t.deps.(owner) in
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt t.pairs key with
-            | None -> Hashtbl.remove deps key
-            | Some incumbent ->
-                update_pair t ~src:(key / t.n) ~dst:(key mod t.n) key incumbent changed)
-          (Hashtbl.fold (fun key () acc -> key :: acc) deps [])
-    end
-
-  let remap t ~n ~map =
-    let fresh = create ~n in
-    Array.iteri
-      (fun r old ->
-        match old with
-        | Some old -> (
-            match t.vectors.(old) with
-            | Some v ->
-                fresh.vectors.(r) <-
-                  Some
-                    (Array.init n (fun j ->
-                         match map.(j) with Some oj -> v.(oj) | None -> infinity))
-            | None -> ())
-        | None -> ())
-      map;
-    fresh
-end
-
-(* Random op sequences over both caches, with more owners than the slot
-   arrays start with so they grow mid-sequence: installs, small (repaired)
-   and large (invalidating) update batches, drops, queries and remaps
-   through random injective maps.  Every answer must equal the reference's
-   and the canonical scan's — hop and cost — and the stats must agree. *)
-let cache_matches_reference_property =
-  QCheck.Test.make ~name:"slot cache = Hashtbl reference (grow, remap)" ~count:60
-    QCheck.(pair (int_range 2 64) int)
-    (fun (n, seed) ->
-      let rng = Rng.make ~seed in
-      let n = ref n in
-      let cache = ref (Best_hop.Cache.create ~n:!n) in
-      let refc = ref (Reference.create ~n:!n) in
-      let ok = ref true in
-      let random_cost () =
-        if Rng.bernoulli rng ~p:0.2 then infinity else Float.round (Rng.float rng 99.)
-      in
-      let owners () =
-        List.filter (fun o -> !refc.Reference.vectors.(o) <> None) (List.init !n Fun.id)
-      in
-      let install owner =
-        let v = Array.init !n (fun j -> if j = owner then 0. else random_cost ()) in
-        Best_hop.Cache.set_vector !cache owner v;
-        Reference.set_vector !refc owner (Array.copy v)
-      in
-      let query src dst =
-        let got = Best_hop.Cache.best !cache ~src ~dst in
-        let want = Reference.best !refc ~src ~dst in
-        let scanned =
-          Best_hop.best ~src ~dst ~cost_from_src:(Reference.vector !refc src)
-            ~cost_to_dst:(Reference.vector !refc dst)
-        in
-        if got <> want || got <> scanned then ok := false
-      in
-      let query_some () =
-        match Array.of_list (owners ()) with
-        | [||] | [| _ |] -> ()
-        | os ->
-            for _ = 1 to 40 do
-              let src = os.(Rng.int rng (Array.length os))
-              and dst = os.(Rng.int rng (Array.length os)) in
-              if src <> dst then query src dst
-            done
-      in
-      let update ~large owner =
-        let count = if large then max 9 ((!n / 8) + 1) else 1 + Rng.int rng 4 in
-        let changes = List.init count (fun _ -> (Rng.int rng !n, random_cost ())) in
-        Best_hop.Cache.update_vector !cache owner ~changes;
-        Reference.update_vector !refc owner ~changes
-      in
-      List.iter (fun o -> if Rng.bernoulli rng ~p:0.6 then install o) (List.init !n Fun.id);
-      for _step = 1 to 40 do
-        (match (Rng.int rng 10, owners ()) with
-        | (0 | 1), _ | _, [] -> install (Rng.int rng !n)
-        | (2 | 3 | 4), os -> update ~large:false (List.nth os (Rng.int rng (List.length os)))
-        | 5, os -> update ~large:true (List.nth os (Rng.int rng (List.length os)))
-        | 6, os ->
-            let o = List.nth os (Rng.int rng (List.length os)) in
-            Best_hop.Cache.drop_vector !cache o;
-            Reference.drop_vector !refc o
-        | 7, _ ->
-            (* a membership change: a random injective map onto old ids *)
-            let n' = 2 + Rng.int rng 63 in
-            let olds = Array.init !n Fun.id in
-            Rng.shuffle rng olds;
-            let map =
-              Array.init n' (fun r ->
-                  if r < !n && Rng.bernoulli rng ~p:0.8 then Some olds.(r) else None)
-            in
-            cache := Best_hop.Cache.remap !cache ~n:n' ~map;
-            refc := Reference.remap !refc ~n:n' ~map;
-            n := n'
-        | _ -> ());
-        query_some ();
-        if Best_hop.Cache.stats !cache <> Reference.stats !refc then ok := false
-      done;
-      let os = owners () in
-      List.iter (fun src -> List.iter (fun dst -> if src <> dst then query src dst) os) os;
-      List.iter
-        (fun o -> if Best_hop.Cache.vector !cache o <> !refc.Reference.vectors.(o) then ok := false)
-        (List.init !n Fun.id);
-      !ok && Best_hop.Cache.stats !cache = Reference.stats !refc)
-
-let test_cache_drop_vector () =
-  let cache = Best_hop.Cache.create ~n:3 in
-  Best_hop.Cache.set_vector cache 0 [| 0.; 10.; 30. |];
-  Best_hop.Cache.set_vector cache 1 [| 10.; 0.; 10. |];
-  Best_hop.Cache.set_vector cache 2 [| 30.; 10.; 0. |];
-  let c = Best_hop.Cache.best cache ~src:0 ~dst:2 in
-  check_int "via 1" 1 c.Best_hop.hop;
-  Best_hop.Cache.drop_vector cache 2;
-  check_bool "vector gone" true (Best_hop.Cache.vector cache 2 = None);
-  Alcotest.check_raises "query after drop"
-    (Invalid_argument "Best_hop.Cache: no vector stored for this node") (fun () ->
-      ignore (Best_hop.Cache.best cache ~src:0 ~dst:2))
-
-(* --- Rendezvous round-two ------------------------------------------------- *)
-
 let snapshot_of_row ~owner ~n row =
   Snapshot.create ~owner
     (Array.init n (fun j ->
          if Float.is_finite row.(j) then Entry.make ~latency_ms:row.(j) ~loss:0. ~alive:true
          else Entry.unreachable))
+
+(* --- Best_hop.Cache -------------------------------------------------------- *)
+
+(* A random link-state entry drawn to provoke the kernel's edge cases:
+   dead cells, the 65534 ms saturation on both legs (the largest live sum),
+   and latencies from a tiny set so equal-cost ties against the direct
+   path and between hops are common.  Loss matters only under
+   [Loss_sensitive], where 254/254 makes a live link cost infinity. *)
+let random_entry rng =
+  if Rng.bernoulli rng ~p:0.2 then Entry.unreachable
+  else
+    let latency_ms =
+      if Rng.bernoulli rng ~p:0.15 then float_of_int Entry.max_latency_ms
+      else float_of_int (1 + Rng.int rng 4)
+    in
+    let loss = [| 0.; 0.; 0.1; 0.5; 1. |].(Rng.int rng 5) in
+    Entry.make ~latency_ms ~loss ~alive:true
+
+(* Drive the cache the way a rendezvous server's router does, through a
+   real [Table]: full ingests ([set_row]), deltas applied in place
+   ([~reuse:true]) or by copy ([update_row] with the changed ids, small
+   batches repaired and large ones spilled), the server's own row replaced
+   every "tick" and notified by diff, drops, and more owners than the
+   initial slot width so the pair arrays grow mid-sequence.  Every answer
+   must equal the float scan over [Snapshot.cost_vector] of the table's
+   current rows — hop and cost, so tie-breaks included — under both
+   metrics. *)
+let cache_matches_scan_property =
+  QCheck.Test.make ~name:"incremental cache = full rescan (random op sequences)"
+    ~count:100
+    QCheck.(triple (int_range 2 40) int bool)
+    (fun (n, seed, latency) ->
+      QCheck.assume (n >= 2) (* the shrinker leaves [int_range] *);
+      let rng = Rng.make ~seed in
+      let metric =
+        if latency then Metric.Latency else Metric.Loss_sensitive { retry_penalty_ms = 100. }
+      in
+      let server = Rng.int rng n in
+      let table = Table.create ~n ~owner:server in
+      let cache = Best_hop.Cache.create ~n ~metric in
+      let now = ref 0. and epoch = ref 0 in
+      let clock () =
+        now := !now +. 1.;
+        incr epoch;
+        !epoch
+      in
+      let random_row owner =
+        Snapshot.create ~owner (Array.init n (fun _ -> random_entry rng))
+      in
+      let last_own = ref None in
+      let own_tick () =
+        let snap = random_row server in
+        Table.set_own_row table snap ~epoch:(clock ()) ~now:!now;
+        (match !last_own with
+        | Some prev ->
+            Best_hop.Cache.update_row cache snap
+              ~changed:(List.map fst (Snapshot.diff ~prev ~next:snap))
+        | None -> Best_hop.Cache.set_row cache snap);
+        last_own := Some snap
+      in
+      let ingest owner =
+        let snap = random_row owner in
+        if Table.ingest table snap ~epoch:(clock ()) ~now:!now then
+          Best_hop.Cache.set_row cache snap
+      in
+      let delta ~large ~reuse owner =
+        match Table.row_epoch table owner with
+        | Some stored when owner <> server ->
+            let count = if large then max 9 ((n / 8) + 1) else 1 + Rng.int rng 3 in
+            let changes = List.init count (fun _ -> (Rng.int rng n, random_entry rng)) in
+            ignore (clock ());
+            let d = { Wire.Delta.owner; epoch = stored + 1; changes } in
+            (match Table.apply_delta ~reuse table d ~now:!now with
+            | `Applied snap ->
+                Best_hop.Cache.update_row cache snap ~changed:(List.map fst changes)
+            | `Stale | `Gap | `Malformed -> QCheck.Test.fail_report "delta not applied")
+        | Some _ | None -> ()
+      in
+      let check_all () =
+        let owners = Table.known_rows table in
+        let row i = Option.get (Table.row table i) in
+        let vectors = Array.make n [||] in
+        List.iter (fun i -> vectors.(i) <- Snapshot.cost_vector (row i) metric) owners;
+        List.iter
+          (fun src ->
+            List.iter
+              (fun dst ->
+                if src <> dst then begin
+                  let got = Best_hop.Cache.best cache ~src ~dst in
+                  let want =
+                    Best_hop.best ~src ~dst ~cost_from_src:vectors.(src)
+                      ~cost_to_dst:vectors.(dst)
+                  in
+                  let rows = Best_hop.best_rows metric ~src:(row src) ~dst:(row dst) in
+                  if got <> want || rows <> want then
+                    QCheck.Test.fail_reportf "n=%d (%d,%d): cache %d/%g, rows %d/%g, scan %d/%g"
+                      n src dst got.Best_hop.hop got.Best_hop.cost rows.Best_hop.hop
+                      rows.Best_hop.cost want.Best_hop.hop want.Best_hop.cost
+                end)
+              owners)
+          owners
+      in
+      own_tick ();
+      for owner = 0 to n - 1 do
+        if owner <> server then ingest owner
+      done;
+      check_all ();
+      (* Every pair is now cached: the first two deltas must go through the
+         incremental repair, in place and by copy. *)
+      let client = (server + 1) mod n in
+      delta ~large:false ~reuse:true client;
+      check_all ();
+      delta ~large:false ~reuse:false client;
+      check_all ();
+      for _step = 1 to 30 do
+        let owner = Rng.int rng n in
+        (match Rng.int rng 10 with
+        | 0 | 1 -> own_tick ()
+        | 2 -> if owner <> server then ingest owner
+        | 3 | 4 | 5 -> delta ~large:false ~reuse:(Rng.bool rng) owner
+        | 6 -> delta ~large:true ~reuse:(Rng.bool rng) owner
+        | 7 when owner <> server ->
+            Table.drop_row table owner;
+            Best_hop.Cache.drop_row cache owner
+        | _ -> ());
+        check_all ()
+      done;
+      let _, _, updates, rescans = Best_hop.Cache.stats cache in
+      updates + rescans > 0)
+
+let test_cache_drop_vector () =
+  let row owner lat = snapshot_of_row ~owner ~n:3 lat in
+  let cache = Best_hop.Cache.create ~n:3 ~metric:Metric.Latency in
+  Best_hop.Cache.set_row cache (row 0 [| 0.; 10.; 30. |]);
+  Best_hop.Cache.set_row cache (row 1 [| 10.; 0.; 10. |]);
+  Best_hop.Cache.set_row cache (row 2 [| 30.; 10.; 0. |]);
+  let c = Best_hop.Cache.best cache ~src:0 ~dst:2 in
+  check_int "via 1" 1 c.Best_hop.hop;
+  Best_hop.Cache.drop_row cache 2;
+  Alcotest.check_raises "query after drop"
+    (Invalid_argument "Best_hop.Cache: no row held for this node") (fun () ->
+      ignore (Best_hop.Cache.best cache ~src:0 ~dst:2))
+
+(* No second copy of a row: a cache holding a rendezvous server's
+   2 isqrt n + 1 rows at n = 256, every pair cached, costs the slot
+   index, the slot-to-row array and the two pair arrays —
+   n + cap + 2 cap^2 words — beyond the rows themselves, which the
+   table owns.  A float cost vector per row would add 33 * 256 words. *)
+let test_cache_size () =
+  let n = 256 in
+  let rng = Rng.make ~seed:3 in
+  let cap = (2 * 16) + 2 in
+  let rows =
+    List.init ((2 * 16) + 1) (fun owner ->
+        Snapshot.create ~owner (Array.init n (fun _ -> random_entry rng)))
+  in
+  let cache = Best_hop.Cache.create ~n ~metric:Metric.Latency in
+  List.iter (Best_hop.Cache.set_row cache) rows;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let src = Snapshot.owner a and dst = Snapshot.owner b in
+          if src <> dst then ignore (Best_hop.Cache.best cache ~src ~dst))
+        rows)
+    rows;
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let row_words = List.fold_left (fun acc r -> acc + words r) 0 rows in
+  let own_words = words cache - row_words in
+  let bound = n + cap + (2 * cap * cap) + 32 in
+  if own_words > bound then
+    Alcotest.failf "cache holds %d words beyond its rows, bound %d" own_words bound
+
+(* --- Rendezvous round-two ------------------------------------------------- *)
 
 let test_rendezvous_recommendation_optimal () =
   let rng = Rng.make ~seed:99 in
@@ -838,7 +730,7 @@ let () =
         [
           Alcotest.test_case "drop vector" `Quick test_cache_drop_vector;
           qcheck cache_matches_scan_property;
-          qcheck cache_matches_reference_property;
+          Alcotest.test_case "no second copy of a row (n=256)" `Quick test_cache_size;
         ] );
       ( "rendezvous",
         [

@@ -1,12 +1,10 @@
 (* Tests for lib/membership: wire codec robustness, the quorum-replicated
-   membership state machine, view/grid/cache remapping across membership
-   changes, and the oracle's view-agreement invariant. *)
+   membership state machine, the rank map across membership changes, and
+   the oracle's view-agreement invariant. *)
 
 module M = Apor_membership.Membership_core
 module Wire = Apor_membership.Wire
 module View = Apor_membership.View
-module Grid = Apor_quorum.Grid
-module Best_hop = Apor_core.Best_hop
 module Ev = Apor_trace.Event
 module Oracle = Apor_trace.Oracle
 
@@ -332,56 +330,6 @@ let test_rank_map () =
     [| Some 1; None; Some 3 |]
     map
 
-let test_grid_remap_identity () =
-  let g = Grid.build 9 in
-  let map = Array.init 9 (fun r -> Some r) in
-  let kept = Grid.remap ~prev:g ~next:g ~map in
-  Array.iteri
-    (fun r o -> check_bool (Printf.sprintf "rank %d kept" r) true (o = Some r))
-    kept
-
-let test_grid_remap_geometry_change () =
-  (* 9 -> 10 nodes: the grid reshapes (3x3 -> 4x3); ranks whose
-     row/column composition changed must not carry state. *)
-  let prev = Grid.build 9 and next = Grid.build 10 in
-  let map = Array.init 10 (fun r -> if r < 9 then Some r else None) in
-  let kept = Grid.remap ~prev ~next ~map in
-  check_bool "joiner not kept" true (kept.(9) = None);
-  (* the joiner lands in row 3 / column 0: every node sharing a quorum
-     with it gains a server, so its old geometry is gone *)
-  Array.iteri
-    (fun r o ->
-      match o with
-      | Some old_r ->
-          let module S = Apor_util.Nodeid.Set in
-          let olds = S.of_list (Grid.rendezvous_servers prev old_r) in
-          let news =
-            List.filter_map (fun s -> map.(s)) (Grid.rendezvous_servers next r)
-            |> S.of_list
-          in
-          check_bool (Printf.sprintf "rank %d geometry preserved" r) true (S.equal olds news)
-      | None -> ())
-    kept
-
-let test_cache_remap () =
-  let c = Best_hop.Cache.create ~n:3 in
-  Best_hop.Cache.set_vector c 0 [| 0.; 10.; 20. |];
-  Best_hop.Cache.set_vector c 2 [| 20.; 5.; 0. |];
-  (* New world: old node 1 left, nodes 0 and 2 became ranks 0 and 1, a
-     joiner is rank 2. *)
-  let c' = Best_hop.Cache.remap c ~n:3 ~map:[| Some 0; Some 2; None |] in
-  (match Best_hop.Cache.vector c' 0 with
-  | Some v ->
-      Alcotest.(check (array (float 1e-9))) "permuted vector" [| 0.; 20.; infinity |] v
-  | None -> Alcotest.fail "vector not carried");
-  (match Best_hop.Cache.vector c' 1 with
-  | Some v -> Alcotest.(check (array (float 1e-9))) "permuted vector 2" [| 20.; 0.; infinity |] v
-  | None -> Alcotest.fail "vector not carried");
-  check_bool "joiner has no vector" true (Best_hop.Cache.vector c' 2 = None);
-  (* carried vectors answer queries through the canonical scan *)
-  let choice = Best_hop.Cache.best c' ~src:0 ~dst:1 in
-  check_int "direct wins" 1 choice.Best_hop.hop
-
 (* --- oracle: view agreement ---------------------------------------------- *)
 
 let mk_oracle () =
@@ -500,10 +448,6 @@ let () =
       ( "remap",
         [
           Alcotest.test_case "view rank_map" `Quick test_rank_map;
-          Alcotest.test_case "grid remap identity" `Quick test_grid_remap_identity;
-          Alcotest.test_case "grid remap geometry change" `Quick
-            test_grid_remap_geometry_change;
-          Alcotest.test_case "cache remap permutes vectors" `Quick test_cache_remap;
         ] );
       ( "oracle",
         [

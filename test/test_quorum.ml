@@ -252,25 +252,6 @@ module Reference = struct
     in
     Nodeid.Set.elements common
 
-  let remap ~prev ~next ~map =
-    Array.mapi
-      (fun r old ->
-        match old with
-        | None -> None
-        | Some old_r ->
-            let mapped =
-              List.fold_left
-                (fun acc s ->
-                  match (acc, map.(s)) with
-                  | Some set, Some old_s -> Some (Nodeid.Set.add old_s set)
-                  | _, None | None, _ -> None)
-                (Some Nodeid.Set.empty) next.servers.(r)
-            in
-            (match mapped with
-            | Some set when Nodeid.Set.equal set prev.server_sets.(old_r) -> Some old_r
-            | Some _ | None -> None))
-      map
-
   let max_rendezvous_degree t =
     Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.servers
 end
@@ -323,62 +304,6 @@ let closed_form_large_n =
       in
       agrees_with_reference ~pairs n;
       true)
-
-(* A rank map as [View.rank_map] draws it: [prev] members leave at random,
-   joiners enter at random positions, survivors keep their order. *)
-let view_like_map rng ~prev_n =
-  let survivors = List.filter (fun _ -> Rng.int rng 8 <> 0) (List.init prev_n Fun.id) in
-  let rec interleave acc = function
-    | [] when Rng.int rng 3 = 0 -> interleave (None :: acc) []
-    | [] -> List.rev acc
-    | s :: rest when Rng.int rng 6 = 0 -> interleave (None :: acc) (s :: rest)
-    | s :: rest -> interleave (Some s :: acc) rest
-  in
-  match interleave [] survivors with [] -> [| None |] | l -> Array.of_list l
-
-(* Any partial injective map: survivors land on random ranks. *)
-let scrambled_map rng ~prev_n =
-  let next_n = 1 + Rng.int rng (prev_n + 8) in
-  let old = Array.init prev_n Fun.id in
-  for i = prev_n - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let x = old.(i) in
-    old.(i) <- old.(j);
-    old.(j) <- x
-  done;
-  Array.init next_n (fun r -> if r < prev_n && Rng.int rng 5 <> 0 then Some old.(r) else None)
-
-let remap_matches_reference =
-  QCheck.Test.make ~name:"remap = reference on random survivor/joiner maps" ~count:300
-    QCheck.(pair (int_range 1 300) int)
-    (fun (prev_n, seed) ->
-      let rng = Rng.make ~seed in
-      let map =
-        match Rng.int rng 3 with
-        | 0 -> Array.init prev_n (fun r -> Some r)
-        | 1 -> view_like_map rng ~prev_n
-        | _ -> scrambled_map rng ~prev_n
-      in
-      let next_n = Array.length map in
-      let expected =
-        Reference.remap ~prev:(Reference.build prev_n) ~next:(Reference.build next_n) ~map
-      in
-      let got = Grid.remap ~prev:(Grid.build prev_n) ~next:(Grid.build next_n) ~map in
-      if expected <> got then
-        QCheck.Test.fail_reportf "prev_n=%d next_n=%d: kept %d, reference kept %d" prev_n
-          next_n
-          (Array.fold_left (fun a o -> if o = None then a else a + 1) 0 got)
-          (Array.fold_left (fun a o -> if o = None then a else a + 1) 0 expected);
-      true)
-
-let test_remap_rejects_bad_maps () =
-  let prev = Grid.build 9 and next = Grid.build 4 in
-  Alcotest.check_raises "length"
-    (Invalid_argument "Grid.remap: map length differs from next grid size") (fun () ->
-      ignore (Grid.remap ~prev ~next ~map:(Array.make 3 None)));
-  Alcotest.check_raises "range"
-    (Invalid_argument "Grid.remap: mapped rank out of range for prev grid") (fun () ->
-      ignore (Grid.remap ~prev ~next ~map:[| None; Some 9; None; None |]))
 
 let test_grid_is_constant_size () =
   let words n = Obj.reachable_words (Obj.repr (Grid.build n)) in
@@ -602,8 +527,6 @@ let () =
         [
           Alcotest.test_case "= reference, every n in [1,200]" `Slow test_closed_form_every_n;
           qcheck closed_form_large_n;
-          qcheck remap_matches_reference;
-          Alcotest.test_case "remap rejects bad maps" `Quick test_remap_rejects_bad_maps;
           Alcotest.test_case "O(1) words" `Quick test_grid_is_constant_size;
         ] );
       ( "system",
