@@ -383,10 +383,8 @@ let wire_core t ep =
     Core.Runtime.create ~core
       ~now:(fun () -> Clock.now t.clock)
       ~send:(fun ~dst_port msg -> send_from t ep ~dst_port msg)
-      ~schedule:(fun ~delay f ->
-        Timers.add t.timers
-          ~at:(Clock.now t.clock +. delay)
-          (fun () -> if ep.alive && ep.incarnation = inc then f ()))
+      ~schedule:(fun ~at f ->
+        Timers.add t.timers ~at (fun () -> if ep.alive && ep.incarnation = inc then f ()))
       ~on_recommend:(fun ~server_port:_ ~dst_port ~hop_port:_ ->
         if dst_port >= 0 && dst_port < t.n && not ep.covered.(dst_port) then begin
           ep.covered.(dst_port) <- true;

@@ -8,5 +8,5 @@ let create ~engine ~core ?deliver_data ?on_recommend ?trace () =
     ~send:(fun ~dst_port msg ->
       Engine.send engine ~cls:(Core.Message.cls msg) ~src ~dst:dst_port
         ~bytes:(Core.Message.size_bytes msg) msg)
-    ~schedule:(fun ~delay f -> Engine.schedule engine ~delay f)
+    ~schedule:(fun ~at f -> Engine.schedule_at engine ~time:at f)
     ?deliver_data ?on_recommend ?trace ()

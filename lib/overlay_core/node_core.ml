@@ -2,8 +2,7 @@ open Apor_util
 module Membership = Apor_membership.Membership_core
 
 type timer =
-  | Probe_timer of { peer : int; generation : int }
-  | Probe_timeout of { peer : int; generation : int; seq : int }
+  | Monitor_wakeup
   | Router_tick
   | Join_retry
   | Member_timer of Membership.timer
@@ -19,7 +18,7 @@ type input =
 
 type output =
   | Send of { dst_port : int; msg : Message.t }
-  | Set_timer of { timer : timer; delay : float }
+  | Set_timer of { timer : timer; at : float }
   | Deliver_data of { id : int; origin : int }
   | Recommend of { server_port : int; dst_port : int; hop_port : int }
   | Trace of Apor_trace.Event.t
@@ -46,6 +45,10 @@ type t = {
 }
 
 let push buf o = buf.out_rev <- o :: buf.out_rev
+
+(* Router, membership and join timers are relative; the absolute time is
+   the float the engine itself would compute from [clock +. delay]. *)
+let set_timer buf timer ~delay = push buf (Set_timer { timer; at = buf.now +. delay })
 
 let create ~config ~port ~capacity ?coordinator_port ?membership ?(trace = false) ~rng ()
     =
@@ -82,13 +85,7 @@ let create ~config ~port ~capacity ?coordinator_port ?membership ?(trace = false
       {
         Monitor.send_probe =
           (fun ~dst ~seq -> push buf (Send { dst_port = dst; msg = Message.Probe { seq } }));
-        set_probe_timer =
-          (fun ~peer ~generation ~delay ->
-            push buf (Set_timer { timer = Probe_timer { peer; generation }; delay }));
-        set_timeout_timer =
-          (fun ~peer ~generation ~seq ~delay ->
-            push buf
-              (Set_timer { timer = Probe_timeout { peer; generation; seq }; delay }));
+        set_wakeup = (fun ~at -> push buf (Set_timer { timer = Monitor_wakeup; at }));
         on_peer_death =
           (fun peer ->
             report_peer peer ~up:false;
@@ -104,7 +101,7 @@ let create ~config ~port ~capacity ?coordinator_port ?membership ?(trace = false
       }
   in
   let send ~dst_port msg = push buf (Send { dst_port; msg }) in
-  let set_tick_timer ~delay = push buf (Set_timer { timer = Router_tick; delay }) in
+  let set_tick_timer ~delay = set_timer buf Router_tick ~delay in
   let router =
     match config.algorithm with
     | Config.Quorum ->
@@ -146,7 +143,7 @@ let install_view t v =
     let peers =
       Array.to_list (View.members v) |> List.filter (fun p -> p <> t.port)
     in
-    Monitor.set_peers t.monitor peers;
+    Monitor.set_peers t.monitor ~now:t.buf.now peers;
     match t.router with
     | Quorum r -> Router.set_view r ~now:t.buf.now v
     | Full_mesh r -> Router_fullmesh.set_view r ~now:t.buf.now v
@@ -161,8 +158,7 @@ let run_membership t outputs =
       match o with
       | Membership.Send { dst_port; msg } ->
           push t.buf (Send { dst_port; msg = Message.Member msg })
-      | Membership.Set_timer { timer; delay } ->
-          push t.buf (Set_timer { timer = Member_timer timer; delay })
+      | Membership.Set_timer { timer; delay } -> set_timer t.buf (Member_timer timer) ~delay
       | Membership.Install v ->
           t.joined <- true;
           install_view t v
@@ -185,7 +181,7 @@ let join_step t =
         let delay =
           if t.joined then t.config.membership_refresh_s /. 2. else 5.
         in
-        push t.buf (Set_timer { timer = Join_retry; delay })
+        set_timer t.buf Join_retry ~delay
       end
 
 let best_hop t ~now ~dst_port =
@@ -276,10 +272,7 @@ let apply t input =
       end
   | Install_view v -> install_view t v
   | Deliver { src_port; msg } -> deliver t ~src_port msg
-  | Tick (Probe_timer { peer; generation }) ->
-      Monitor.on_probe_timer t.monitor ~now:t.buf.now ~peer ~generation
-  | Tick (Probe_timeout { peer; generation; seq }) ->
-      Monitor.on_timeout_timer t.monitor ~now:t.buf.now ~peer ~generation ~seq
+  | Tick Monitor_wakeup -> Monitor.on_wakeup t.monitor ~now:t.buf.now
   | Tick Router_tick -> (
       match t.router with
       | Quorum r -> Router.on_tick_timer r ~now:t.buf.now
@@ -339,10 +332,7 @@ let double_rendezvous_failure_count t ~now =
 (* --- pretty-printing (tests and the golden-trace tooling) -------------- *)
 
 let pp_timer ppf = function
-  | Probe_timer { peer; generation } ->
-      Format.fprintf ppf "probe-timer(peer=%d, gen=%d)" peer generation
-  | Probe_timeout { peer; generation; seq } ->
-      Format.fprintf ppf "probe-timeout(peer=%d, gen=%d, seq=%d)" peer generation seq
+  | Monitor_wakeup -> Format.pp_print_string ppf "monitor-wakeup"
   | Router_tick -> Format.pp_print_string ppf "router-tick"
   | Join_retry -> Format.pp_print_string ppf "join-retry"
   | Member_timer mt -> Format.fprintf ppf "member(%a)" Membership.pp_timer mt
@@ -360,8 +350,7 @@ let pp_input ppf = function
 
 let pp_output ppf = function
   | Send { dst_port; msg } -> Format.fprintf ppf "send(to=%d, %a)" dst_port Message.pp msg
-  | Set_timer { timer; delay } ->
-      Format.fprintf ppf "set-timer(%a, +%.6fs)" pp_timer timer delay
+  | Set_timer { timer; at } -> Format.fprintf ppf "set-timer(%a, @%.6fs)" pp_timer timer at
   | Deliver_data { id; origin } ->
       Format.fprintf ppf "deliver-data(id=%d, origin=%d)" id origin
   | Recommend { server_port; dst_port; hop_port } ->
@@ -375,8 +364,8 @@ let equal_output a b =
   match (a, b) with
   | Send { dst_port = d1; msg = m1 }, Send { dst_port = d2; msg = m2 } ->
       d1 = d2 && Message.equal m1 m2
-  | Set_timer { timer = t1; delay = d1 }, Set_timer { timer = t2; delay = d2 } ->
-      equal_timer t1 t2 && d1 = d2
+  | Set_timer { timer = t1; at = a1 }, Set_timer { timer = t2; at = a2 } ->
+      equal_timer t1 t2 && a1 = a2
   | Deliver_data { id = i1; origin = o1 }, Deliver_data { id = i2; origin = o2 } ->
       i1 = i2 && o1 = o2
   | ( Recommend { server_port = s1; dst_port = d1; hop_port = h1 },

@@ -21,19 +21,22 @@
     sequence of [(now, input)] calls, [handle] returns the same outputs —
     the only randomness is the [rng] passed at creation, split
     deterministically by label.  The driving runtime must feed timer
-    outputs back as [Tick] inputs with the timer's payload intact; stale
-    timers (e.g. a probe timer from a superseded generation) are
-    recognized by their payload and ignored.
+    outputs back as [Tick] inputs with the timer's payload intact, at
+    the absolute time the output names.  Timers cannot be cancelled: a
+    timer that has lost its purpose still fires, and the component it
+    belongs to finds nothing to do.  The link monitor keeps its whole
+    probe schedule itself and arms one [Monitor_wakeup] at a time (see
+    {!Monitor}), so a wakeup whose due events were cancelled or moved
+    is recognized by the monitor's own state, not by its payload.
 
     [handle] is not re-entrant: feed inputs one at a time. *)
 
 open Apor_util
 
 type timer =
-  | Probe_timer of { peer : int; generation : int }
-      (** The monitor's per-peer probe cadence. *)
-  | Probe_timeout of { peer : int; generation : int; seq : int }
-      (** Loss detection for one outstanding probe. *)
+  | Monitor_wakeup
+      (** The link monitor's next due probe or probe timeout, for all
+          peers at once. *)
   | Router_tick  (** The routing interval. *)
   | Join_retry  (** Membership join retry / lease refresh (coordinator). *)
   | Member_timer of Apor_membership.Membership_core.timer
@@ -56,9 +59,11 @@ type input =
 
 type output =
   | Send of { dst_port : int; msg : Message.t }
-  | Set_timer of { timer : timer; delay : float }
-      (** Arm a timer [delay] seconds from the input's [now]; when it
-          fires, feed [Tick timer] back in. *)
+  | Set_timer of { timer : timer; at : float }
+      (** Arm a timer at absolute time [at], never before the input's
+          [now]; when it fires, feed [Tick timer] back in.  A relative
+          delay [d] becomes [at = now +. d], the same float a
+          discrete-event engine computes from [clock +. d]. *)
   | Deliver_data of { id : int; origin : int }
       (** An application packet addressed to this node arrived. *)
   | Recommend of { server_port : int; dst_port : int; hop_port : int }

@@ -2,7 +2,7 @@ type t = {
   core : Node_core.t;
   now : unit -> float;
   send : dst_port:int -> Message.t -> unit;
-  schedule : delay:float -> (unit -> unit) -> unit;
+  schedule : at:float -> (unit -> unit) -> unit;
   deliver_data : id:int -> origin:int -> unit;
   on_recommend : (server_port:int -> dst_port:int -> hop_port:int -> unit) option;
   trace : (Apor_trace.Event.t -> unit) option;
@@ -20,13 +20,14 @@ let rec dispatch t input =
   let now = t.now () in
   let outputs = Node_core.handle t.core ~now input in
   (match t.tap with Some f -> f now input outputs | None -> ());
-  List.iter (apply t) outputs
+  List.iter (apply t ~now) outputs
 
-and apply t (o : Node_core.output) =
+and apply t ~now (o : Node_core.output) =
   match o with
   | Node_core.Send { dst_port; msg } -> t.send ~dst_port msg
-  | Node_core.Set_timer { timer; delay } ->
-      t.schedule ~delay (fun () -> dispatch t (Node_core.Tick timer))
+  | Node_core.Set_timer { timer; at } ->
+      if Float.is_nan at || at < now then invalid_arg "Runtime: timer set at a NaN or past time";
+      t.schedule ~at (fun () -> dispatch t (Node_core.Tick timer))
   | Node_core.Deliver_data { id; origin } -> t.deliver_data ~id ~origin
   | Node_core.Recommend { server_port; dst_port; hop_port } -> (
       match t.on_recommend with

@@ -9,8 +9,8 @@
     the trace event announcing it is recorded).
 
     Two implementations exist: {!Apor_overlay.Sim_runtime} (discrete-event
-    simulator — every [schedule] is an engine event, [now] is virtual
-    time) and [Apor_deploy.Udp_runtime] (real sockets, monotonic wall
+    simulator — every [schedule] is an engine event at its absolute
+    time, [now] is virtual time) and [Apor_deploy.Udp_runtime] (real sockets, monotonic wall
     clock).  Timer outputs are interpreted here once and for all: the
     armed closure re-enters {!dispatch} with the corresponding
     [Tick]. *)
@@ -21,13 +21,14 @@ val create :
   core:Node_core.t ->
   now:(unit -> float) ->
   send:(dst_port:int -> Message.t -> unit) ->
-  schedule:(delay:float -> (unit -> unit) -> unit) ->
+  schedule:(at:float -> (unit -> unit) -> unit) ->
   ?deliver_data:(id:int -> origin:int -> unit) ->
   ?on_recommend:(server_port:int -> dst_port:int -> hop_port:int -> unit) ->
   ?trace:(Apor_trace.Event.t -> unit) ->
   unit ->
   t
-(** [deliver_data] defaults to dropping (a node nobody sends application
+(** [schedule ~at f] must run [f] at absolute time [at] on the [now]
+    clock (or as soon after as it can).  [deliver_data] defaults to dropping (a node nobody sends application
     packets to never calls it); [trace] interprets {!Node_core.Trace}
     outputs, [on_recommend] the coverage-tracking {!Node_core.Recommend}
     outputs. *)
@@ -37,7 +38,14 @@ val core : t -> Node_core.t
 val dispatch : t -> Node_core.input -> unit
 (** Read the clock, run [Node_core.handle], interpret the outputs in
     order.  Not re-entrant (the core isn't); timer closures re-enter via
-    the runtime's own scheduler, never synchronously. *)
+    the runtime's own scheduler, never synchronously.
+    @raise Invalid_argument if an output sets a timer at a NaN time or
+    before the clock reading the core was handed. *)
+
+val apply : t -> now:float -> Node_core.output -> unit
+(** Interpret one output of a [Node_core.handle] call made at [now], as
+    {!dispatch} does for each of them.
+    @raise Invalid_argument on a timer set at a NaN time or before [now]. *)
 
 val set_tap : t -> (float -> Node_core.input -> Node_core.output list -> unit) option -> unit
 (** Observe every [(now, input, outputs)] triple before interpretation —

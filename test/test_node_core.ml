@@ -251,7 +251,7 @@ let copy_output (o : Node_core.output) =
       o
 
 let test_golden_trace_replay () =
-  let n = 25 and seed = 7 and horizon = 200. in
+  let n = 25 and seed = 7 and horizon = 300. in
   let world = Internet.generate ~seed ~n () in
   let c =
     Cluster.create ~config:Config.quorum_default ~rtt_ms:world.Internet.rtt_ms
@@ -269,7 +269,10 @@ let test_golden_trace_replay () =
   Cluster.start c;
   Cluster.run_until c horizon;
   let log = List.rev !log in
-  check_bool "recorded a non-trivial input log" true (List.length log > 1000);
+  check_bool
+    (Printf.sprintf "recorded a non-trivial input log (%d inputs)" (List.length log))
+    true
+    (List.length log > 1000);
   (* Replay through a bare core: same construction parameters as the
      cluster used for node 0 — no engine, no network, no cluster. *)
   let core =

@@ -262,31 +262,6 @@ let cdf_monotone =
       let rec mono = function a :: (b :: _ as rest) -> a <= b && mono rest | _ -> true in
       mono fracs)
 
-(* --- Ewma ---------------------------------------------------------------- *)
-
-let test_ewma_first_sample () =
-  let e = Ewma.update (Ewma.create ~alpha:0.5) 10. in
-  check_float "adopts first" 10. (Ewma.value_exn e)
-
-let test_ewma_blends () =
-  let e = Ewma.create ~alpha:0.5 in
-  let e = Ewma.update e 10. in
-  let e = Ewma.update e 20. in
-  check_float "blend" 15. (Ewma.value_exn e);
-  check_int "samples" 2 (Ewma.samples e)
-
-let test_ewma_alpha_zero_tracks_last () =
-  let e = Ewma.create ~alpha:0. in
-  let e = Ewma.update (Ewma.update e 5.) 9. in
-  check_float "last" 9. (Ewma.value_exn e)
-
-let test_ewma_bad_alpha () =
-  Alcotest.check_raises "alpha" (Invalid_argument "Ewma.create: alpha must lie in [0, 1)")
-    (fun () -> ignore (Ewma.create ~alpha:1.))
-
-let test_ewma_empty () =
-  Alcotest.(check (option (float 0.))) "none" None (Ewma.value (Ewma.create ~alpha:0.5))
-
 (* --- Rng ----------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -417,14 +392,6 @@ let () =
           Alcotest.test_case "value_at" `Quick test_cdf_value_at;
           Alcotest.test_case "steps staircase" `Quick test_cdf_steps;
           qcheck cdf_monotone;
-        ] );
-      ( "ewma",
-        [
-          Alcotest.test_case "first sample adopted" `Quick test_ewma_first_sample;
-          Alcotest.test_case "blends history" `Quick test_ewma_blends;
-          Alcotest.test_case "alpha=0 tracks last" `Quick test_ewma_alpha_zero_tracks_last;
-          Alcotest.test_case "bad alpha rejected" `Quick test_ewma_bad_alpha;
-          Alcotest.test_case "empty value" `Quick test_ewma_empty;
         ] );
       ( "rng",
         [
