@@ -32,6 +32,13 @@ dune exec bench/main.exe -- --only micro --quick --jobs 2 --json /tmp/apor-bench
 python3 bench/check_core.py /tmp/apor-bench-smoke.json BENCH_core.json
 rm -f /tmp/apor-bench-smoke.json
 
+# Availability gate: at its default seed the quick availability
+# experiment sends three-datagram trials over the direct path and along
+# the overlay's recommendations, both through the data-plane driver, and
+# exits 1 unless the overlay's trial success beats the direct path's.
+# The run is seeded, so the verdict is deterministic.
+dune exec bench/main.exe -- --only availability --quick
+
 # Benchmark determinism: run both simulator workloads of the repository
 # benchmark (perfbench/) twice at one seed in traced mode and fail unless
 # the deterministic fingerprint (events, bytes, datagrams, joins, per-class

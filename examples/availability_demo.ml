@@ -3,8 +3,9 @@
    A 64-node overlay runs while links fail and recover underneath it.
    Every 30 seconds a set of random node pairs tries to communicate, once
    over the plain direct path and once over the overlay's one-hop routes
-   (three packets per attempt, like an application that retries).  The
-   overlay routes around the failures its probing has discovered.
+   (three datagrams per attempt, like an application that retries), both
+   through the data-plane driver.  The overlay routes around the failures
+   its probing has discovered.
 
    Run with:  dune exec examples/availability_demo.exe *)
 
@@ -13,6 +14,7 @@ open Apor_sim
 open Apor_overlay
 open Apor_overlay_core
 open Apor_topology
+module Driver = Apor_dataplane.Driver
 
 let n = 64
 
@@ -27,13 +29,18 @@ let () =
       ~seed:11 ()
   in
   let engine = Cluster.engine cluster in
+  let driver =
+    Driver.create
+      (Apor_dataplane.Host.of_cluster cluster)
+      ~metrics:(Apor_dataplane.Metrics.create ~window_s:30. ~t0:300.) ()
+  in
   let rng = Rng.make ~seed:42 in
   let direct_trials = ref [] and overlay_trials = ref [] in
-  let attempt send trials src dst =
+  let attempt ~direct trials src dst =
     let ids = ref [] in
     for k = 0 to 2 do
       Engine.schedule engine ~delay:(float_of_int k) (fun () ->
-          ids := send ~src ~dst :: !ids)
+          ids := Driver.send driver ~src ~dst ~direct :: !ids)
     done;
     trials := ids :: !trials
   in
@@ -42,8 +49,8 @@ let () =
       for _ = 1 to 10 do
         let src = Rng.int rng n and dst = Rng.int rng n in
         if src <> dst then begin
-          attempt (Cluster.send_data_direct cluster) direct_trials src dst;
-          attempt (Cluster.send_data cluster) overlay_trials src dst
+          attempt ~direct:true direct_trials src dst;
+          attempt ~direct:false overlay_trials src dst
         end
       done;
       Engine.schedule engine ~delay:30. sample
@@ -58,7 +65,7 @@ let () =
       List.length
         (List.filter
            (fun ids ->
-             List.exists (fun id -> Cluster.data_delivered_at cluster id <> None) !ids)
+             List.exists (fun id -> not (Driver.in_flight driver id)) !ids)
            trials)
     in
     100. *. float_of_int ok /. float_of_int (List.length trials)

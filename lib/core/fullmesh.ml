@@ -1,5 +1,4 @@
 open Apor_util
-open Apor_linkstate
 
 let one_hop_routes m =
   let n = Costmat.size m in
@@ -70,6 +69,3 @@ let limited_shortest m ~max_edges =
   in
   let rec go edges current = if edges >= max_edges then current else go (edges + 1) (relax current) in
   go 1 dist
-
-let bytes_per_interval ~n = (n - 1) * Overhead.link_state_bytes ~n
-let messages_per_interval ~n = n - 1

@@ -27,10 +27,3 @@ val limited_shortest : Costmat.t -> max_edges:int -> float array array
     (Bellman–Ford style DP) — the oracle for the multi-hop algorithm:
     after [t] iterations it must equal [limited_shortest ~max_edges:2^t].
     @raise Invalid_argument when [max_edges < 1]. *)
-
-val bytes_per_interval : n:int -> int
-(** Outgoing routing bytes per node per routing interval for the baseline:
-    [(n - 1) * link_state_bytes n]. *)
-
-val messages_per_interval : n:int -> int
-(** [n - 1]. *)

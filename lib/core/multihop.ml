@@ -149,5 +149,3 @@ let path t ~src ~dst =
     in
     Some (walk src [] n)
   end
-
-let cost_matrix t = Array.map Array.copy t.dist

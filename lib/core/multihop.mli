@@ -48,6 +48,3 @@ val path : t -> src:Nodeid.t -> dst:Nodeid.t -> Nodeid.t list option
     cycles by bounding the walk at [n] hops.
     @raise Invalid_argument if a cycle is detected (indicates inconsistent
     partial tables). *)
-
-val cost_matrix : t -> float array array
-(** All best-known costs, [c.(src).(dst)]. *)

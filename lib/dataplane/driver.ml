@@ -9,8 +9,7 @@ type pending = {
 
 type t = {
   host : Host.t;
-  gen : Workload.t;
-  payload_len : int;
+  mutable payload_len : int;
   metrics : Metrics.t;
   trace : Apor_trace.Collector.t option;
   pending : (int, pending) Hashtbl.t;
@@ -34,14 +33,16 @@ let stop t =
   Option.iter Flows.stop t.flows
 
 (* Send along the source's current recommendation: via the advised
-   intermediate, or direct when there is none. *)
-let originate t ~now ~flow src dst =
+   intermediate, or direct when there is none or [direct] is set. *)
+let originate t ~now ~flow ~direct src dst =
   let id = t.next_id in
   t.next_id <- id + 1;
   let hop =
-    match t.host.best_hop ~now ~src ~dst with
-    | Some h when h <> src && h <> dst -> Some h
-    | Some _ | None -> None
+    if direct then None
+    else
+      match t.host.best_hop ~now ~src ~dst with
+      | Some h when h <> src && h <> dst -> Some h
+      | Some _ | None -> None
   in
   let next = match hop with Some h -> h | None -> dst in
   t.sent <- t.sent + 1;
@@ -107,27 +108,19 @@ let on_packet t ~now ~node (p : Packet.t) =
     true
   end
 
-(* Each arrival carries the time it was due, and the next one is due an
-   inter-arrival draw after that — not after the moment this callback
-   happened to run.  Wall-clock timers fire late; scheduling from the
-   callback would add every lateness to the schedule and undershoot the
-   offered rate, where this catches up.  An engine timer fires at its
-   key, so on the simulator the two rules agree. *)
-let rec open_loop_tick t ~due =
-  if not t.stopped then begin
-    let src, dst = Workload.pick_pair t.gen in
-    ignore (originate t ~now:(t.host.now ()) ~flow:(-1) src dst : int);
-    let due = due +. Workload.next_delay t.gen ~now:due in
-    t.host.schedule_at due (fun () -> open_loop_tick t ~due)
-  end
+let send t ~src ~dst ~direct =
+  let n = t.host.n in
+  if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then
+    invalid_arg "Driver.send: ports out of range or equal";
+  originate t ~now:(t.host.now ()) ~flow:(-1) ~direct src dst
 
-let attach (host : Host.t) ~spec ~seed ~metrics ?trace ?start_at () =
-  let rng = Rng.split (Rng.make ~seed) "dataplane.workload" in
+let in_flight t id = Hashtbl.mem t.pending id
+
+let create (host : Host.t) ~metrics ?trace () =
   let t =
     {
       host;
-      gen = Workload.create ~spec ~n:host.n ~rng;
-      payload_len = spec.Workload.payload_bytes;
+      payload_len = Workload.default.payload_bytes;
       metrics;
       trace;
       pending = Hashtbl.create 4096;
@@ -139,21 +132,43 @@ let attach (host : Host.t) ~spec ~seed ~metrics ?trace ?start_at () =
       stopped = false;
     }
   in
+  host.set_sink (fun ~now ~node p -> on_packet t ~now ~node p);
+  t
+
+let attach (host : Host.t) ~spec ~seed ~metrics ?trace ?start_at () =
+  let gen =
+    Workload.create ~spec ~n:host.n ~rng:(Rng.split (Rng.make ~seed) "dataplane.workload")
+  in
+  let t = create host ~metrics ?trace () in
+  t.payload_len <- spec.Workload.payload_bytes;
+  (* Each open-loop arrival carries the time it was due, and the next one
+     is due an inter-arrival draw after that — not after the moment this
+     callback happened to run.  Wall-clock timers fire late; scheduling
+     from the callback would add every lateness to the schedule and
+     undershoot the offered rate, where this catches up.  An engine timer
+     fires at its key, so on the simulator the two rules agree. *)
+  let rec open_loop_tick ~due =
+    if not t.stopped then begin
+      let src, dst = Workload.pick_pair gen in
+      ignore (originate t ~now:(host.now ()) ~flow:(-1) ~direct:false src dst : int);
+      let due = due +. Workload.next_delay gen ~now:due in
+      host.schedule_at due (fun () -> open_loop_tick ~due)
+    end
+  in
   (match spec.Workload.mode with
   | Workload.Open_loop -> ()
   | Workload.Closed_loop { window; think_s } ->
       let send ~flow ~now =
-        let src, dst = Workload.pick_pair t.gen in
-        originate t ~now ~flow src dst
+        let src, dst = Workload.pick_pair gen in
+        originate t ~now ~flow ~direct:false src dst
       in
       t.flows <-
         Some
           (Flows.create host ~send ~forget:(Hashtbl.remove t.pending) ~window
              ~think_s:(Float.max host.think_floor_s think_s)));
-  host.set_sink (fun ~now ~node p -> on_packet t ~now ~node p);
   let kick () =
     match t.flows with
-    | None -> open_loop_tick t ~due:(host.now ())
+    | None -> open_loop_tick ~due:(host.now ())
     | Some flows -> Flows.start flows ~rate_pps:spec.Workload.rate_pps
   in
   (match start_at with

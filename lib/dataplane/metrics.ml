@@ -127,7 +127,6 @@ let record_dropped t ~now:_ = t.dropped <- t.dropped + 1
 let sent t = t.sent
 let delivered t = t.delivered
 let dropped t = t.dropped
-let delivered_payload_bytes t = t.payload_bytes
 
 let loss_overall t =
   if t.sent = 0 then 0.

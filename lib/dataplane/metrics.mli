@@ -36,7 +36,6 @@ val record_dropped : t -> now:float -> unit
 val sent : t -> int
 val delivered : t -> int
 val dropped : t -> int
-val delivered_payload_bytes : t -> int
 
 val loss_overall : t -> float
 (** [(sent - delivered) / sent]; 0 when nothing was sent. *)

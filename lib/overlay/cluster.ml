@@ -16,8 +16,6 @@ type t = {
   coordinator : Coordinator.t option;
   coordinator_port : int option;
   static_view : bool;
-  mutable next_data_id : int;
-  deliveries : (int, float) Hashtbl.t; (* data packet id -> delivery time *)
   dgram_sink : (now:float -> node:int -> Message.dgram -> unit) option ref;
 }
 
@@ -85,7 +83,6 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
     Engine.send engine ~cls:(Message.cls msg) ~src:src_port ~dst:dst_port
       ~bytes:(Message.size_bytes msg) msg
   in
-  let deliveries = Hashtbl.create 256 in
   (* Install the dispatch handler before anything can schedule or send —
      a node's very first output may be a message due at t = 0, and the
      engine raises on a delivery with no handler installed.  The tables it
@@ -137,13 +134,7 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
             ~rng:(Rng.split root (Printf.sprintf "node.%d" port))
             ()
         in
-        let rt =
-          Sim_runtime.create ~engine ~core
-            ~deliver_data:(fun ~id ~origin:_ ->
-              if not (Hashtbl.mem deliveries id) then
-                Hashtbl.replace deliveries id (Engine.now engine))
-            ?trace:node_trace ()
-        in
+        let rt = Sim_runtime.create ~engine ~core ?trace:node_trace () in
         runtimes.(port) <- Some rt;
         Node.of_runtime ~now:(fun () -> Engine.now engine) rt)
   in
@@ -174,8 +165,6 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
     coordinator;
     coordinator_port;
     static_view = (membership = Static);
-    next_data_id = 0;
-    deliveries;
     dgram_sink;
   }
 
@@ -230,25 +219,6 @@ let routing_max_window_kbps t ~node:port ~window ~t0 ~t1 =
 
 let total_kbps t ~node:port ~t0 ~t1 =
   Traffic.kbps (traffic t) ~classes:Traffic.all_classes ~node:port ~t0 ~t1
-
-let fresh_data_id t =
-  let id = t.next_data_id in
-  t.next_data_id <- id + 1;
-  id
-
-let send_data t ~src ~dst =
-  let id = fresh_data_id t in
-  Node.send_data (node t src) ~dst_port:dst ~id;
-  id
-
-let send_data_direct t ~src ~dst =
-  if dst < 0 || dst >= t.n then invalid_arg "Cluster.send_data_direct: dst out of range";
-  let id = fresh_data_id t in
-  let msg = Message.Data { id; origin = src; dst; ttl = 0 } in
-  Engine.send t.engine ~cls:(Message.cls msg) ~src ~dst ~bytes:(Message.size_bytes msg) msg;
-  id
-
-let data_delivered_at t id = Hashtbl.find_opt t.deliveries id
 
 let set_dgram_sink t sink = t.dgram_sink := Some sink
 

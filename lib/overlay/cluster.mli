@@ -7,7 +7,9 @@
     full member view at time zero and no coordinator exists — the
     steady-state configuration all the paper's measurements run in.  With
     [`Coordinator] an extra node (port [n]) runs the membership service
-    and nodes execute the join protocol. *)
+    and nodes execute the join protocol.  User datagrams are not the
+    nodes' business: they ride {!send_dgram} to the installed sink, and
+    [Apor_dataplane.Driver] forwards them. *)
 
 open Apor_sim
 open Apor_overlay_core
@@ -100,23 +102,7 @@ val routing_max_window_kbps : t -> node:int -> window:float -> t0:float -> t1:fl
 val total_kbps : t -> node:int -> t0:float -> t1:float -> float
 (** All classes: probing + routing + membership + data. *)
 
-(** {1 Data plane}
-
-    Best-effort application packets riding the overlay's one-hop routes —
-    what the routing machinery exists for.  Used by the availability
-    experiment comparing direct Internet paths against overlay paths under
-    failures. *)
-
-val send_data : t -> src:int -> dst:int -> int
-(** Originate a packet at [src] addressed to [dst], forwarded along best
-    hops; returns its id. *)
-
-val send_data_direct : t -> src:int -> dst:int -> int
-(** Send a packet over the direct virtual link only (no overlay routing):
-    the baseline a non-overlay application gets. *)
-
-val data_delivered_at : t -> int -> float option
-(** Virtual time a packet reached its destination, if it did. *)
+(** {1 Data-plane transport} *)
 
 val set_dgram_sink : t -> (now:float -> node:int -> Message.dgram -> unit) -> unit
 (** Install the data-plane forwarder: every {!Message.Dgram} arriving at

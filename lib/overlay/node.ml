@@ -14,9 +14,6 @@ let install_view t v = Runtime.dispatch t.rt (Node_core.Install_view v)
 let handle_message t ~src_port msg =
   Runtime.dispatch t.rt (Node_core.Deliver { src_port; msg })
 
-let send_data t ~dst_port ~id =
-  Runtime.dispatch t.rt (Node_core.Send_data { dst_port; id })
-
 let current_view t = Node_core.current_view (core t)
 let monitor t = Node_core.monitor (core t)
 let quorum_router t = Node_core.quorum_router (core t)

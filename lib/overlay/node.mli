@@ -43,11 +43,6 @@ val quorum_router : t -> Router.t option
 val best_hop : t -> dst_port:int -> int option
 (** Next-hop port for reaching [dst] ([= dst] for the direct path). *)
 
-val send_data : t -> dst_port:int -> id:int -> unit
-(** Originate an application packet: it is forwarded hop by hop along the
-    current best one-hop routes (TTL-guarded) and [deliver_data] fires at
-    the destination.  Best-effort: dead ends and lost packets vanish. *)
-
 val freshness : t -> dst_port:int -> float option
 
 val double_rendezvous_failure_count : t -> int

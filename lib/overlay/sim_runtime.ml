@@ -1,7 +1,7 @@
 open Apor_sim
 module Core = Apor_overlay_core
 
-let create ~engine ~core ?deliver_data ?on_recommend ?trace () =
+let create ~engine ~core ?on_recommend ?trace () =
   let src = Core.Node_core.port core in
   Core.Runtime.create ~core
     ~now:(fun () -> Engine.now engine)
@@ -9,4 +9,4 @@ let create ~engine ~core ?deliver_data ?on_recommend ?trace () =
       Engine.send engine ~cls:(Core.Message.cls msg) ~src ~dst:dst_port
         ~bytes:(Core.Message.size_bytes msg) msg)
     ~schedule:(fun ~at f -> Engine.schedule_at engine ~time:at f)
-    ?deliver_data ?on_recommend ?trace ()
+    ?on_recommend ?trace ()

@@ -9,7 +9,6 @@ open Apor_sim
 val create :
   engine:Apor_overlay_core.Message.t Engine.t ->
   core:Apor_overlay_core.Node_core.t ->
-  ?deliver_data:(id:int -> origin:int -> unit) ->
   ?on_recommend:(server_port:int -> dst_port:int -> hop_port:int -> unit) ->
   ?trace:(Apor_trace.Event.t -> unit) ->
   unit ->

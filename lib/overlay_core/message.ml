@@ -20,12 +20,10 @@ type t =
   | Join of { port : int }
   | Leave of { port : int }
   | View of { version : int; members : Nodeid.t list }
-  | Data of { id : int; origin : Nodeid.t; dst : Nodeid.t; ttl : int }
   | Relay of { origin : Nodeid.t; target : Nodeid.t; inner : t }
   | Dgram of dgram
   | Member of Apor_membership.Wire.t
 
-let data_payload_bytes = 64
 let dgram_header_bytes = 19
 
 let rec size_bytes = function
@@ -38,7 +36,6 @@ let rec size_bytes = function
       Overhead.recommendation_message_bytes ~entries:(List.length entries)
   | Join _ | Leave _ -> Overhead.membership_request_bytes
   | View { members; _ } -> Overhead.membership_view_bytes ~n:(List.length members)
-  | Data _ -> Overhead.header_bytes + data_payload_bytes
   | Relay { inner; _ } -> Overhead.header_bytes + size_bytes inner
   | Dgram d -> dgram_header_bytes + d.payload_len
   | Member w -> 1 + Apor_membership.Wire.size_bytes w
@@ -47,7 +44,7 @@ let rec cls = function
   | Probe _ | Probe_reply _ -> Msgclass.Probe
   | Link_state _ | Link_state_delta _ | Ls_resync _ | Recommend _ -> Msgclass.Routing
   | Join _ | Leave _ | View _ | Member _ -> Msgclass.Membership
-  | Data _ | Dgram _ -> Msgclass.Data
+  | Dgram _ -> Msgclass.Data
   | Relay { inner; _ } -> cls inner
 
 let rec equal a b =
@@ -74,28 +71,25 @@ let rec equal a b =
   | Leave { port = p1 }, Leave { port = p2 } -> p1 = p2
   | View { version = v1; members = m1 }, View { version = v2; members = m2 } ->
       v1 = v2 && m1 = m2
-  | ( Data { id = i1; origin = o1; dst = d1; ttl = t1 },
-      Data { id = i2; origin = o2; dst = d2; ttl = t2 } ) ->
-      i1 = i2 && o1 = o2 && d1 = d2 && t1 = t2
   | ( Relay { origin = o1; target = t1; inner = i1 },
       Relay { origin = o2; target = t2; inner = i2 } ) ->
       o1 = o2 && t1 = t2 && equal i1 i2
   | Dgram a, Dgram b -> a = b
   | Member w1, Member w2 -> Apor_membership.Wire.equal w1 w2
   | ( ( Probe _ | Probe_reply _ | Link_state _ | Link_state_delta _ | Ls_resync _
-      | Recommend _ | Join _ | Leave _ | View _ | Data _ | Relay _ | Dgram _
-      | Member _ ),
+      | Recommend _ | Join _ | Leave _ | View _ | Relay _ | Dgram _ | Member _ ),
       _ ) ->
       false
 
 (* --- binary codec ------------------------------------------------------- *)
 
 (* One tag byte, then big-endian fixed-width fields: ports/ids/owners are
-   16 bits, views/epochs/seqs/packet ids 32 bits (unsigned), ttl 8 bits.
-   Variable-length parts carry an explicit 16-bit count or length so the
-   decoder never trusts the frame boundary alone.  A snapshot is stored in
-   the wire's 3-byte entry layout already, so a [Link_state] payload is a
-   blit of {!Snapshot.wire_bytes} and decodes with {!Snapshot.of_wire}. *)
+   16 bits, views/epochs/seqs/packet ids 32 bits (unsigned), hop counts 8
+   bits.  Variable-length parts carry an explicit 16-bit count or length
+   so the decoder never trusts the frame boundary alone.  A snapshot is
+   stored in the wire's 3-byte entry layout already, so a [Link_state]
+   payload is a blit of {!Snapshot.wire_bytes} and decodes with
+   {!Snapshot.of_wire}. *)
 
 let tag_probe = 0
 let tag_probe_reply = 1
@@ -106,7 +100,7 @@ let tag_recommend = 5
 let tag_join = 6
 let tag_leave = 7
 let tag_view = 8
-let tag_data = 9
+(* 9 was the retired hop-by-hop data packet; it stays unassigned *)
 let tag_relay = 10
 let tag_dgram = 11
 let tag_member = 12
@@ -166,12 +160,6 @@ let rec encode_into b = function
       put_u32 b version;
       put_u16 b (List.length members);
       List.iter (fun m -> put_u16 b m) members
-  | Data { id; origin; dst; ttl } ->
-      put_u8 b tag_data;
-      put_u32 b id;
-      put_u16 b origin;
-      put_u16 b dst;
-      put_u8 b ttl
   | Relay { origin; target; inner } ->
       put_u8 b tag_relay;
       put_u16 b origin;
@@ -262,12 +250,6 @@ let decode buf =
         let n = u16 () in
         let members = List.init n (fun _ -> u16 ()) in
         Ok (View { version; members })
-    | tag when tag = tag_data ->
-        let id = u32 () in
-        let origin = u16 () in
-        let dst = u16 () in
-        let ttl = u8 () in
-        Ok (Data { id; origin; dst; ttl })
     | tag when tag = tag_relay -> (
         let origin = u16 () in
         let target = u16 () in
@@ -315,8 +297,6 @@ let rec pp ppf = function
   | Leave { port } -> Format.fprintf ppf "leave(%d)" port
   | View { version; members } ->
       Format.fprintf ppf "view(v%d, %d members)" version (List.length members)
-  | Data { id; origin; dst; ttl } ->
-      Format.fprintf ppf "data#%d(%d->%d, ttl=%d)" id origin dst ttl
   | Relay { origin; target; inner } ->
       Format.fprintf ppf "relay(%d=>%d, %a)" origin target pp inner
   | Dgram { id; origin; dst; hops; payload_len; _ } ->

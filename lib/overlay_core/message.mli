@@ -44,9 +44,6 @@ type t =
   | Leave of { port : int }
   | View of { version : int; members : Nodeid.t list }
       (** Coordinator broadcast: the full member list, sorted. *)
-  | Data of { id : int; origin : Nodeid.t; dst : Nodeid.t; ttl : int }
-      (** An application packet riding the overlay: forwarded along best
-          hops until it reaches [dst] or [ttl] runs out. *)
   | Relay of { origin : Nodeid.t; target : Nodeid.t; inner : t }
       (** Footnote 8 of the paper: a routing message sent through a
           temporary one-hop intermediary when the direct link to a
@@ -54,20 +51,15 @@ type t =
           [inner] to [target]; the receiver processes it as if it came
           from [origin]. *)
   | Dgram of dgram
-      (** A data-plane user datagram ([lib/dataplane]).  Unlike [Data] —
-          the legacy availability probe forwarded inside the node core —
-          [Dgram] is intercepted at the transport boundary by the
-          data-plane forwarder and never enters the protocol state
-          machine; the core only models its byte cost. *)
+      (** A data-plane user datagram ([lib/dataplane]), intercepted at
+          the transport boundary by the data-plane forwarder; it never
+          enters the protocol state machine, and the core only models its
+          byte cost. *)
   | Member of Apor_membership.Wire.t
       (** Decentralized membership ([lib/membership]): join requests and
           acks, quorum view writes, deltas and epoch digests.  [Join],
           [Leave] and [View] above remain the centralized-coordinator
           baseline ([Config.centralized_membership]). *)
-
-val data_payload_bytes : int
-(** Synthetic application payload size (64 bytes — a VoIP-frame-sized
-    packet). *)
 
 val dgram_header_bytes : int
 (** Modeled wire-header cost of a [Dgram], matching the real data-plane

@@ -12,14 +12,12 @@ type input =
   | Install_view of View.t
   | Deliver of { src_port : int; msg : Message.t }
   | Tick of timer
-  | Send_data of { dst_port : int; id : int }
   | Leave
   | Link_report of { peer : int; up : bool }
 
 type output =
   | Send of { dst_port : int; msg : Message.t }
   | Set_timer of { timer : timer; at : float }
-  | Deliver_data of { id : int; origin : int }
   | Recommend of { server_port : int; dst_port : int; hop_port : int }
   | Trace of Apor_trace.Event.t
 
@@ -189,8 +187,6 @@ let best_hop t ~now ~dst_port =
   | Quorum r -> Router.best_hop_port r ~now ~dst_port
   | Full_mesh r -> Router_fullmesh.best_hop_port r ~now ~dst_port
 
-let default_ttl = 8
-
 (* Receipt of a [Recommend] additionally surfaces each applied entry as a
    {!Recommend} output in port space, so transports without a trace
    attached (the UDP runtime's coverage tracking) can observe routing
@@ -235,17 +231,6 @@ let rec deliver t ~src_port msg =
       surface_recommendations t ~src_port ~view entries
   | Message.Join _ | Message.Leave _ -> () (* we are not the coordinator *)
   | Message.Member w -> membership_input t (Membership.Deliver { src_port; msg = w })
-  | Message.Data { id; origin; dst; ttl } ->
-      if dst = t.port then push t.buf (Deliver_data { id; origin })
-      else if ttl > 0 then begin
-        (* forward along the current best hop; dead ends drop the packet,
-           like any best-effort network *)
-        match best_hop t ~now:t.buf.now ~dst_port:dst with
-        | Some hop when hop <> t.port ->
-            push t.buf
-              (Send { dst_port = hop; msg = Message.Data { id; origin; dst; ttl = ttl - 1 } })
-        | Some _ | None -> ()
-      end
   | Message.Relay { origin; target; inner } ->
       if target = t.port then
         (* unwrap: process as if it had arrived from the originator *)
@@ -279,20 +264,6 @@ let apply t input =
       | Full_mesh r -> Router_fullmesh.on_tick_timer r ~now:t.buf.now)
   | Tick Join_retry -> join_step t
   | Tick (Member_timer mt) -> membership_input t (Membership.Tick mt)
-  | Send_data { dst_port; id } ->
-      if dst_port = t.port then push t.buf (Deliver_data { id; origin = t.port })
-      else begin
-        match best_hop t ~now:t.buf.now ~dst_port with
-        | Some hop ->
-            push t.buf
-              (Send
-                 {
-                   dst_port = hop;
-                   msg =
-                     Message.Data { id; origin = t.port; dst = dst_port; ttl = default_ttl };
-                 })
-        | None -> ()
-      end
   | Leave -> (
       if t.mem <> None then begin
         t.started <- false;
@@ -343,7 +314,6 @@ let pp_input ppf = function
   | Deliver { src_port; msg } ->
       Format.fprintf ppf "deliver(from=%d, %a)" src_port Message.pp msg
   | Tick timer -> Format.fprintf ppf "tick(%a)" pp_timer timer
-  | Send_data { dst_port; id } -> Format.fprintf ppf "send-data(dst=%d, id=%d)" dst_port id
   | Leave -> Format.pp_print_string ppf "leave"
   | Link_report { peer; up } ->
       Format.fprintf ppf "link-report(peer=%d, %s)" peer (if up then "up" else "down")
@@ -351,8 +321,6 @@ let pp_input ppf = function
 let pp_output ppf = function
   | Send { dst_port; msg } -> Format.fprintf ppf "send(to=%d, %a)" dst_port Message.pp msg
   | Set_timer { timer; at } -> Format.fprintf ppf "set-timer(%a, @%.6fs)" pp_timer timer at
-  | Deliver_data { id; origin } ->
-      Format.fprintf ppf "deliver-data(id=%d, origin=%d)" id origin
   | Recommend { server_port; dst_port; hop_port } ->
       Format.fprintf ppf "recommend(server=%d, dst=%d, hop=%d)" server_port dst_port
         hop_port
@@ -366,10 +334,8 @@ let equal_output a b =
       d1 = d2 && Message.equal m1 m2
   | Set_timer { timer = t1; at = a1 }, Set_timer { timer = t2; at = a2 } ->
       equal_timer t1 t2 && a1 = a2
-  | Deliver_data { id = i1; origin = o1 }, Deliver_data { id = i2; origin = o2 } ->
-      i1 = i2 && o1 = o2
   | ( Recommend { server_port = s1; dst_port = d1; hop_port = h1 },
       Recommend { server_port = s2; dst_port = d2; hop_port = h2 } ) ->
       s1 = s2 && d1 = d2 && h1 = h2
   | Trace e1, Trace e2 -> e1 = e2
-  | (Send _ | Set_timer _ | Deliver_data _ | Recommend _ | Trace _), _ -> false
+  | (Send _ | Set_timer _ | Recommend _ | Trace _), _ -> false

@@ -50,8 +50,6 @@ type input =
           the coordinator had pushed it. *)
   | Deliver of { src_port : int; msg : Message.t }  (** A datagram arrived. *)
   | Tick of timer  (** A previously armed timer fired. *)
-  | Send_data of { dst_port : int; id : int }
-      (** The application wants a packet carried over the overlay. *)
   | Leave  (** Announce departure to the coordinator. *)
   | Link_report of { peer : int; up : bool }
       (** A transport-level liveness verdict (e.g. ICMP errors), imposed
@@ -64,8 +62,6 @@ type output =
           [now]; when it fires, feed [Tick timer] back in.  A relative
           delay [d] becomes [at = now +. d], the same float a
           discrete-event engine computes from [clock +. d]. *)
-  | Deliver_data of { id : int; origin : int }
-      (** An application packet addressed to this node arrived. *)
   | Recommend of { server_port : int; dst_port : int; hop_port : int }
       (** A rendezvous recommendation was received and applied — surfaced
           per entry, in port space, so transports can track routing
@@ -118,8 +114,6 @@ val freshness : t -> now:float -> dst_port:int -> float option
 
 val double_rendezvous_failure_count : t -> now:float -> int
 (** 0 for the full-mesh algorithm, which has no rendezvous to fail. *)
-
-val default_ttl : int
 
 (** {1 Structural helpers (tests, golden-trace tooling)} *)
 

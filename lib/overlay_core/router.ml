@@ -671,8 +671,7 @@ let handle_message t ~now ~src_port msg =
   | Message.Ls_resync { view; owner } -> handle_ls_resync t ~now ~src_port ~view ~owner
   | Message.Recommend { view; entries } -> handle_recommend t ~now ~src_port ~view entries
   | Message.Probe _ | Message.Probe_reply _ | Message.Join _ | Message.Leave _
-  | Message.View _ | Message.Data _ | Message.Relay _ | Message.Dgram _
-  | Message.Member _ ->
+  | Message.View _ | Message.Relay _ | Message.Dgram _ | Message.Member _ ->
       ()
 
 let on_peer_death t ~now ~port:_ =
@@ -740,18 +739,6 @@ let best_hop_port t ~now ~dst_port =
               if Float.is_finite !best_cost then Some (View.port_of_rank ctx.view !best_hop)
               else if Monitor.alive t.monitor dst_port then Some dst_port
               else None)))
-
-let route_info t ~dst_port =
-  match t.ctx with
-  | None -> None
-  | Some ctx -> (
-      match View.rank_of_port ctx.view dst_port with
-      | None -> None
-      | Some dst -> (
-          match ctx.routes.(dst) with
-          | Some r ->
-              Some (View.port_of_rank ctx.view r.hop, r.received_at, r.via_port)
-          | None -> None))
 
 let freshness t ~now ~dst_port =
   match t.ctx with

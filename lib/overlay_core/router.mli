@@ -81,9 +81,6 @@ val best_hop_port : t -> now:float -> dst_port:int -> int option
     direct path); [None] when the destination is unknown or believed
     unreachable. *)
 
-val route_info : t -> dst_port:int -> (int * float * int) option
-(** [(hop_port, received_at, via_port)] of the stored recommendation. *)
-
 val freshness : t -> now:float -> dst_port:int -> float option
 (** Seconds since the last best-hop recommendation for this destination
     was received (Figures 12–14); [None] if none ever arrived. *)

@@ -119,8 +119,8 @@ let handle_message t ~now ~src_port:_ msg =
       | Some _ | None -> ())
   | Message.Link_state_delta _ | Message.Ls_resync _ | Message.Recommend _
   | Message.Probe _ | Message.Probe_reply _ | Message.Join _
-  | Message.Leave _ | Message.View _ | Message.Data _ | Message.Relay _
-  | Message.Dgram _ | Message.Member _ ->
+  | Message.Leave _ | Message.View _ | Message.Relay _ | Message.Dgram _
+  | Message.Member _ ->
       ()
 
 let best_hop_port t ~now ~dst_port =

@@ -3,15 +3,13 @@ type t = {
   now : unit -> float;
   send : dst_port:int -> Message.t -> unit;
   schedule : at:float -> (unit -> unit) -> unit;
-  deliver_data : id:int -> origin:int -> unit;
   on_recommend : (server_port:int -> dst_port:int -> hop_port:int -> unit) option;
   trace : (Apor_trace.Event.t -> unit) option;
   mutable tap : (float -> Node_core.input -> Node_core.output list -> unit) option;
 }
 
-let create ~core ~now ~send ~schedule ?(deliver_data = fun ~id:_ ~origin:_ -> ())
-    ?on_recommend ?trace () =
-  { core; now; send; schedule; deliver_data; on_recommend; trace; tap = None }
+let create ~core ~now ~send ~schedule ?on_recommend ?trace () =
+  { core; now; send; schedule; on_recommend; trace; tap = None }
 
 let core t = t.core
 let set_tap t f = t.tap <- f
@@ -28,7 +26,6 @@ and apply t ~now (o : Node_core.output) =
   | Node_core.Set_timer { timer; at } ->
       if Float.is_nan at || at < now then invalid_arg "Runtime: timer set at a NaN or past time";
       t.schedule ~at (fun () -> dispatch t (Node_core.Tick timer))
-  | Node_core.Deliver_data { id; origin } -> t.deliver_data ~id ~origin
   | Node_core.Recommend { server_port; dst_port; hop_port } -> (
       match t.on_recommend with
       | Some f -> f ~server_port ~dst_port ~hop_port

@@ -22,16 +22,14 @@ val create :
   now:(unit -> float) ->
   send:(dst_port:int -> Message.t -> unit) ->
   schedule:(at:float -> (unit -> unit) -> unit) ->
-  ?deliver_data:(id:int -> origin:int -> unit) ->
   ?on_recommend:(server_port:int -> dst_port:int -> hop_port:int -> unit) ->
   ?trace:(Apor_trace.Event.t -> unit) ->
   unit ->
   t
 (** [schedule ~at f] must run [f] at absolute time [at] on the [now]
-    clock (or as soon after as it can).  [deliver_data] defaults to dropping (a node nobody sends application
-    packets to never calls it); [trace] interprets {!Node_core.Trace}
-    outputs, [on_recommend] the coverage-tracking {!Node_core.Recommend}
-    outputs. *)
+    clock (or as soon after as it can).  [trace] interprets
+    {!Node_core.Trace} outputs, [on_recommend] the coverage-tracking
+    {!Node_core.Recommend} outputs. *)
 
 val core : t -> Node_core.t
 

@@ -297,8 +297,6 @@ let attach t collector = Collector.subscribe collector (observe t)
 
 (* --- invariant 4: view agreement ---------------------------------------- *)
 
-let adopted_epoch t ~port = Hashtbl.find_opt t.adopted port
-
 let check_view_agreement t ~now ~grace_s ~live =
   let target =
     List.fold_left

@@ -120,9 +120,6 @@ val check_datagrams : t -> sent:int -> delivered:int -> now:float -> unit
     events the oracle accepted.  Records/raises a [Datagram_conservation]
     violation per disagreement. *)
 
-val adopted_epoch : t -> port:int -> int option
-(** The last epoch the oracle saw [port] adopt, if any. *)
-
 val check_view_agreement : t -> now:float -> grace_s:float -> live:int list -> unit
 (** Convergence half of [View_agreement]: among [live] ports, find the
     maximum adopted epoch; if it first appeared more than [grace_s] ago,

@@ -29,8 +29,6 @@ let value_at t q =
   let k = int_of_float (ceil (q *. float_of_int n)) in
   t.(max 0 (min (n - 1) (k - 1)))
 
-let samples_sorted t = Array.copy t
-
 let rows t ~xs = List.map (fun x -> (x, fraction_le t x)) xs
 
 let steps t =

@@ -22,9 +22,6 @@ val value_at : t -> float -> float
     [fraction_le t v >= q].
     @raise Invalid_argument if [q] outside [0, 1]. *)
 
-val samples_sorted : t -> float array
-(** The underlying samples in non-decreasing order (fresh copy). *)
-
 val rows : t -> xs:float list -> (float * float) list
 (** [(x, fraction_le x)] rows for plotting at prescribed abscissae. *)
 

@@ -65,11 +65,6 @@ let summarize = function
           max = maximum xs;
         }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p97=%.3f max=%.3f" s.count
-    s.mean s.stddev s.min s.p50 s.p97 s.max
-
 module Online = struct
   type t = {
     mutable count : int;

@@ -39,8 +39,6 @@ type summary = {
 val summarize : float list -> summary option
 (** [None] on an empty list. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 module Online : sig
   (** Streaming mean/min/max accumulator (Welford variance), used by the
       per-node metric counters where storing every sample would be

@@ -34,10 +34,3 @@ let render t =
   String.concat "\n" (render_row t.header :: rule :: List.map render_row rows)
 
 let print t = print_endline (render t)
-
-let print_series ~title ~columns rows =
-  Printf.printf "# %s\n# %s\n" title (String.concat " " columns);
-  List.iter
-    (fun row ->
-      print_endline (String.concat " " (List.map (Printf.sprintf "%g") row)))
-    rows

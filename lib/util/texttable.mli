@@ -19,7 +19,3 @@ val render : t -> string
 
 val print : t -> unit
 (** [render] to stdout followed by a newline. *)
-
-val print_series : title:string -> columns:string list -> float list list -> unit
-(** Gnuplot-style block: a ["# title"] line, a ["# col1 col2 ..."] line, then
-    one whitespace-separated row per data point. *)

@@ -459,7 +459,7 @@ type fake = {
   lateness : float;
 }
 
-let fake_host ?(lateness = 0.) ~n () =
+let fake_host ?(lateness = 0.) ?hop ~n () =
   let f = { clock = 0.; timers = []; wire = []; sink = None; lateness } in
   let rec run_until horizon =
     let due = List.sort (fun (a, _) (b, _) -> compare a b) f.timers in
@@ -477,7 +477,7 @@ let fake_host ?(lateness = 0.) ~n () =
       now = (fun () -> f.clock);
       schedule_at = (fun at g -> f.timers <- (at, g) :: f.timers);
       run_until;
-      best_hop = (fun ~now:_ ~src:_ ~dst:_ -> None);
+      best_hop = (fun ~now:_ ~src:_ ~dst:_ -> hop);
       freshness = (fun ~now:_ ~src:_ ~dst:_ -> None);
       current_view = (fun _ -> None);
       accounted_ports = n;
@@ -498,11 +498,10 @@ let arrive f ~node p =
 let pkt ?(id = 7) ?(origin = 0) ?(dst = 3) hops =
   { Packet.id; origin; dst; hops; sent_at_us = 0; payload_len = 16 }
 
-(* A driver whose workload never starts: arrivals are all injected. *)
+(* A driver with no workload: arrivals are all injected. *)
 let idle_driver host =
   let metrics = Metrics.create ~window_s:1. ~t0:0. in
-  let d = Driver.attach host ~spec:small_spec ~seed:1 ~metrics ~start_at:1e9 () in
-  (d, metrics)
+  (Driver.create host ~metrics (), metrics)
 
 let test_driver_hop_budget () =
   let f, host = fake_host ~n:4 () in
@@ -565,6 +564,30 @@ let test_driver_open_loop_due_times () =
       if i > 0 && abs (b - a - 50_000) > 1 then
         Alcotest.failf "send %d: %d us late, expected 50000" i (b - a))
     (List.combine late_prefix late)
+
+(* On-demand sends: along the recommendation, or straight to the
+   destination when [~direct] is set; an id stays in flight until its
+   delivery. *)
+let test_driver_send () =
+  let f, host = fake_host ~hop:2 ~n:4 () in
+  let d, _ = idle_driver host in
+  let via = Driver.send d ~src:0 ~dst:3 ~direct:false in
+  let direct = Driver.send d ~src:0 ~dst:3 ~direct:true in
+  (match f.wire with
+  | [ (direct_next, _); (via_next, p) ] ->
+      check_int "direct skips the recommendation" 3 direct_next;
+      check_int "overlay takes the recommendation" 2 via_next;
+      check_bool "both in flight" true (Driver.in_flight d via && Driver.in_flight d direct);
+      ignore (arrive f ~node:3 p : bool);
+      check_bool "delivered leaves flight" false (Driver.in_flight d via);
+      check_bool "the other stays" true (Driver.in_flight d direct)
+  | _ -> Alcotest.fail "expected two originated datagrams");
+  List.iter
+    (fun (src, dst) ->
+      match Driver.send d ~src ~dst ~direct:true with
+      | _ -> Alcotest.failf "send %d -> %d accepted" src dst
+      | exception Invalid_argument _ -> ())
+    [ (0, 0); (0, 4); (-1, 3) ]
 
 let test_driver_stray_port () =
   let f, host = fake_host ~n:4 () in
@@ -718,6 +741,7 @@ let () =
           Alcotest.test_case "open loop keeps due times" `Quick
             test_driver_open_loop_due_times;
           Alcotest.test_case "stray port rejected" `Quick test_driver_stray_port;
+          Alcotest.test_case "on-demand send" `Quick test_driver_send;
         ] );
       ( "run(udp)",
         [

@@ -473,17 +473,39 @@ let test_survives_random_flapping_and_heals () =
 
 (* --- Data plane -------------------------------------------------------------------- *)
 
+module Driver = Apor_dataplane.Driver
+
+(* A data-plane driver over the cluster, with no workload, and a lookup of
+   each datagram's delivery (time, hops) in the driver's trace. *)
+let data_driver c =
+  let trace = Apor_trace.Collector.create ~now:(fun () -> Cluster.now c) () in
+  let driver =
+    Driver.create
+      (Apor_dataplane.Host.of_cluster c)
+      ~metrics:(Apor_dataplane.Metrics.create ~window_s:10. ~t0:0.)
+      ~trace ()
+  in
+  let delivery id =
+    Apor_trace.Collector.fold trace ~init:None ~f:(fun acc (e : Apor_trace.Collector.timed) ->
+        match e.event with
+        | Apor_trace.Event.Dgram_delivered d when d.id = id -> Some (e.time, d.hops)
+        | _ -> acc)
+  in
+  (driver, delivery)
+
 let test_data_delivery_healthy () =
   let n = 9 in
   let rtt = test_matrix ~seed:61 n in
   let c = Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt ~seed:61 () in
+  let driver, delivery = data_driver c in
   Cluster.start c;
   Cluster.run_until c 150.;
-  let id = Cluster.send_data c ~src:0 ~dst:8 in
+  let id = Driver.send driver ~src:0 ~dst:8 ~direct:false in
   Cluster.run_until c 160.;
-  (match Cluster.data_delivered_at c id with
-  | Some at -> check_bool "delivered promptly" true (at < 155.)
-  | None -> Alcotest.fail "packet lost on a healthy network")
+  (match delivery id with
+  | Some (at, _) -> check_bool "delivered promptly" true (at < 155.)
+  | None -> Alcotest.fail "packet lost on a healthy network");
+  check_bool "no longer in flight" false (Driver.in_flight driver id)
 
 let test_data_rides_detour_when_direct_fails () =
   let n = 9 in
@@ -491,17 +513,19 @@ let test_data_rides_detour_when_direct_fails () =
   let rtt = Array.make_matrix n n 100. in
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   let c = Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt ~seed:62 () in
+  let driver, delivery = data_driver c in
   Cluster.start c;
   Cluster.run_until c 150.;
   Network.set_link_up (Cluster.network c) 0 8 false;
   (* wait for failure detection and fresh recommendations *)
   Cluster.run_until c 250.;
-  let direct_id = Cluster.send_data_direct c ~src:0 ~dst:8 in
-  let overlay_id = Cluster.send_data c ~src:0 ~dst:8 in
+  let direct_id = Driver.send driver ~src:0 ~dst:8 ~direct:true in
+  let overlay_id = Driver.send driver ~src:0 ~dst:8 ~direct:false in
   Cluster.run_until c 260.;
-  check_bool "direct fails" true (Cluster.data_delivered_at c direct_id = None);
-  (match Cluster.data_delivered_at c overlay_id with
-  | Some _ -> ()
+  check_bool "direct fails" true (delivery direct_id = None);
+  check_bool "direct still in flight" true (Driver.in_flight driver direct_id);
+  (match delivery overlay_id with
+  | Some (_, hops) -> check_int "relayed once" 1 hops
   | None -> Alcotest.fail "overlay packet lost despite a live detour")
 
 let test_data_to_partitioned_dst_drops () =
@@ -509,26 +533,28 @@ let test_data_to_partitioned_dst_drops () =
   let rtt = Array.make_matrix n n 100. in
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   let c = Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt ~seed:63 () in
+  let driver, delivery = data_driver c in
   Cluster.start c;
   Cluster.run_until c 150.;
   Network.fail_node (Cluster.network c) 8;
   Cluster.run_until c 400.;
-  let id = Cluster.send_data c ~src:0 ~dst:8 in
+  let id = Driver.send driver ~src:0 ~dst:8 ~direct:false in
   Cluster.run_until c 500.;
-  check_bool "undeliverable packet dropped" true (Cluster.data_delivered_at c id = None)
+  check_bool "undeliverable packet dropped" true (delivery id = None)
 
 let test_data_latency_matches_path () =
   let n = 9 in
   let rtt = Array.make_matrix n n 100. in
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   let c = Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt ~seed:64 () in
+  let driver, delivery = data_driver c in
   Cluster.start c;
   Cluster.run_until c 150.;
   let sent = Cluster.now c in
-  let id = Cluster.send_data c ~src:0 ~dst:5 in
+  let id = Driver.send driver ~src:0 ~dst:5 ~direct:false in
   Cluster.run_until c 151.;
-  match Cluster.data_delivered_at c id with
-  | Some at ->
+  match delivery id with
+  | Some (at, _) ->
       (* direct path: one-way delay = 50 ms *)
       Alcotest.(check (float 1e-6)) "one-way delay" 0.05 (at -. sent)
   | None -> Alcotest.fail "not delivered"
