@@ -10,10 +10,12 @@
                                                 # + scaling baseline JSON
      dune exec bench/main.exe -- --only micro --jobs 4
                                                 # sweep points on 4 domains
+     dune exec bench/main.exe -- --only memory --n 1024 --sim-s 75
+                                                # live words by part at n = 1024
 
    Output is plain text with gnuplot-style data blocks. *)
 
-let experiments ~quick ~seed ~trace ~json ~jobs =
+let experiments ~quick ~seed ~trace ~json ~jobs ~n ~sim_s =
   [
     ("table-config", fun () -> Experiments.table_config ());
     ("fig1", fun () -> Experiments.fig1 ~quick ~seed);
@@ -28,6 +30,7 @@ let experiments ~quick ~seed ~trace ~json ~jobs =
     ("membership", fun () -> Membership.run ~quick ~seed);
     ("ablation", fun () -> Ablation.run ~seed);
     ("micro", fun () -> Micro.run ?json ~jobs ~quick ~seed ());
+    ("memory", fun () -> Memory.run ~quick ~seed ?n ?sim_s ());
   ]
 
 (* Run [f], teeing everything it prints to stdout into a string. *)
@@ -60,6 +63,8 @@ let () =
   let trace_file = ref None in
   let json_file = ref None in
   let jobs = ref 1 in
+  let n = ref None in
+  let sim_s = ref None in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -91,18 +96,24 @@ let () =
         end;
         jobs := j;
         parse rest
+    | "--n" :: v :: rest ->
+        n := Some (int_of_string v);
+        parse rest
+    | "--sim-s" :: v :: rest ->
+        sim_s := Some (float_of_string v);
+        parse rest
     | arg :: _ ->
         Printf.eprintf
           "unknown argument %S\n\
            (--quick | --seed N | --only a,b | --out DIR | --trace FILE | \
-           --json FILE | --jobs N | --list)\n"
+           --json FILE | --jobs N | --n N | --sim-s S | --list)\n"
           arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let all =
     experiments ~quick:!quick ~seed:!seed ~trace:!trace_file ~json:!json_file
-      ~jobs:!jobs
+      ~jobs:!jobs ~n:!n ~sim_s:!sim_s
   in
   if !list_only then begin
     List.iter (fun (name, _) -> print_endline name) all;

@@ -32,6 +32,11 @@ dune exec bench/main.exe -- --only micro --quick --jobs 2 --json /tmp/apor-bench
 python3 bench/check_core.py /tmp/apor-bench-smoke.json BENCH_core.json
 rm -f /tmp/apor-bench-smoke.json
 
+# Memory probe smoke: the per-part live-words table behind
+# PERFORMANCE.md's memory sections (router parts, monitor, failure model,
+# engine queue, live and top heap), on a 64-node cluster.
+dune exec bench/main.exe -- --only memory --quick
+
 # Availability gate: at its default seed the quick availability
 # experiment sends three-datagram trials over the direct path and along
 # the overlay's recommendations, both through the data-plane driver, and

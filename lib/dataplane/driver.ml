@@ -4,8 +4,11 @@ module Ev = Apor_trace.Event
 type pending = {
   psent_at : float;
   pdirect_s : float; (* the origination-time baseline; unused under [Min_zero_hop] *)
-  pflow : int; (* closed-loop flow index, -1 on the open loop *)
+  pflow : int; (* closed-loop flow index, or [on_demand] or [open_loop] *)
 }
+
+let on_demand = -1
+let open_loop = -2
 
 type t = {
   host : Host.t;
@@ -17,6 +20,7 @@ type t = {
       (* (origin * n + dst) -> min zero-hop latency, seconds ([Min_zero_hop]) *)
   mutable flows : Flows.t option; (* closed loop only *)
   mutable next_id : int;
+  mutable swept : int; (* ids below this are not open-loop entries of [pending] *)
   mutable sent : int;
   mutable delivered : int;
   mutable stopped : bool;
@@ -98,6 +102,7 @@ let on_packet t ~now ~node (p : Packet.t) =
   else begin
     if node = p.dst then deliver t ~now ~node p
     else if p.hops + 1 > Packet.max_hops then begin
+      Hashtbl.remove t.pending p.id;
       Metrics.record_dropped t.metrics ~now;
       emit t (Ev.Dgram_dropped { id = p.id; node; reason = "hop-budget" })
     end
@@ -112,9 +117,26 @@ let send t ~src ~dst ~direct =
   let n = t.host.n in
   if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then
     invalid_arg "Driver.send: ports out of range or equal";
-  originate t ~now:(t.host.now ()) ~flow:(-1) ~direct src dst
+  originate t ~now:(t.host.now ()) ~flow:on_demand ~direct src dst
 
 let in_flight t id = Hashtbl.mem t.pending id
+
+(* Forget the open loop's datagrams older than [Flows.timeout_s]: nobody
+   waits on them, and a lost one would otherwise stay pending until the
+   run ends.  Ids grow with send time, so the cursor stops at the first
+   young one and passes each id once.  Nothing is counted: the datagram
+   was neither delivered nor dropped as far as the driver can tell. *)
+let rec sweep_open_loop t ~now =
+  if t.swept < t.next_id then
+    match Hashtbl.find_opt t.pending t.swept with
+    | Some pd when pd.pflow = open_loop && now -. pd.psent_at < Flows.timeout_s -> ()
+    | Some pd ->
+        if pd.pflow = open_loop then Hashtbl.remove t.pending t.swept;
+        t.swept <- t.swept + 1;
+        sweep_open_loop t ~now
+    | None ->
+        t.swept <- t.swept + 1;
+        sweep_open_loop t ~now
 
 let create (host : Host.t) ~metrics ?trace () =
   let t =
@@ -127,6 +149,7 @@ let create (host : Host.t) ~metrics ?trace () =
       observed = Hashtbl.create 1024;
       flows = None;
       next_id = 0;
+      swept = 0;
       sent = 0;
       delivered = 0;
       stopped = false;
@@ -149,8 +172,10 @@ let attach (host : Host.t) ~spec ~seed ~metrics ?trace ?start_at () =
      fires at its key, so on the simulator the two rules agree. *)
   let rec open_loop_tick ~due =
     if not t.stopped then begin
+      let now = host.now () in
+      sweep_open_loop t ~now;
       let src, dst = Workload.pick_pair gen in
-      ignore (originate t ~now:(host.now ()) ~flow:(-1) ~direct:false src dst : int);
+      ignore (originate t ~now ~flow:open_loop ~direct:false src dst : int);
       let due = due +. Workload.next_delay gen ~now:due in
       host.schedule_at due (fun () -> open_loop_tick ~due)
     end

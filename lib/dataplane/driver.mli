@@ -48,9 +48,11 @@ val send : t -> src:int -> dst:int -> direct:bool -> int
     [src = dst]. *)
 
 val in_flight : t -> int -> bool
-(** Whether datagram [id] was sent and has neither been delivered nor
-    abandoned by its closed-loop flow.  A lost datagram stays in flight:
-    the driver cannot tell loss from delay. *)
+(** Whether datagram [id] was sent and has neither been delivered,
+    dropped at the hop budget, nor abandoned.  The closed loop abandons a
+    datagram when its flow times out, the open loop when a later arrival
+    finds it older than {!Flows.timeout_s}.  A datagram sent by {!send}
+    and lost stays in flight: the driver cannot tell loss from delay. *)
 
 val sent : t -> int
 (** Datagrams originated — the data plane's own count, compared against

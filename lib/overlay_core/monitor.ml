@@ -232,6 +232,11 @@ let peers t =
   done;
   !acc
 
+let state_words t =
+  let w x = Obj.reachable_words (Obj.repr x) in
+  w t.flags + w t.losses + w t.seq + w t.sent_at + w t.latency + w t.loss_est + w t.probe_at
+  + w t.timeout_at + w t.order + w t.heap + w t.pos + w t.armed
+
 let next_due t = if t.len = 0 then None else Some (due t t.heap.(0))
 
 let handle_reply t ~now ~src ~seq =

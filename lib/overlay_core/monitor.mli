@@ -102,3 +102,8 @@ val concurrent_failures : t -> int
 (** Number of actively probed peers currently considered dead — the
     quantity Figure 8 plots per node.  Peers never yet measured don't
     count: the paper counts probed-and-lost destinations. *)
+
+val state_words : t -> int
+(** [Obj.reachable_words] of the per-port arrays and the wakeup stack —
+    the monitor's state without its config and effects.  For tests and
+    memory probes, not the data path. *)

@@ -9,13 +9,21 @@ type effects = {
   set_tick_timer : delay:float -> unit;
 }
 
-type route = { hop : Nodeid.t; received_at : float; via_port : int }
-
 type failover_episode = {
   server : Nodeid.t;     (* rank of the failover rendezvous in use *)
   since : float;
   tried : Nodeid.Set.t;  (* ranks already tried this episode *)
 }
+
+(* Per destination [dst], the servers whose recommendations keep the pair
+   (self, dst) connected, in CSR layout: [dst]'s slice is slots
+   [offsets.(dst), offsets.(dst + 1)) of [servers].  They are the common
+   rendezvous servers of the pair plus [dst] itself when it serves us
+   (Grid.connecting without self), ~4m slots in all.  [rec_at] is parallel
+   to [servers]: when that server last recommended [dst] to us,
+   [neg_infinity] for never.  A pure function of the grid except for
+   [rec_at], so built on first use in a view. *)
+type slices = { offsets : int array; servers : Nodeid.t array; rec_at : float array }
 
 (* All per-view routing state; rebuilt wholesale on membership change. *)
 type ctx = {
@@ -24,9 +32,16 @@ type ctx = {
   self : Nodeid.t; (* own rank *)
   servers : Nodeid.t list; (* own default rendezvous servers, announced to every tick *)
   table : Table.t;
-  routes : route option array;
+  (* The learned route to each destination rank, in parallel arrays: the
+     hop's rank (-1 for none) and when it was recommended or computed. *)
+  route_hop : Nodeid.t array;
+  route_at : float array;
   rec_last : float array; (* last recommendation time per destination rank *)
-  rec_pair : (int, float) Hashtbl.t; (* server rank * m + dst rank -> time *)
+  mutable slices : slices option;
+  (* Recommendation times of the (server, dst) pairs outside the slices —
+     failover servers, current and past — keyed server rank * m + dst
+     rank. *)
+  rec_overflow : (int, float) Hashtbl.t;
   mutable failover : failover_episode Nodeid.Map.t; (* per destination rank *)
   mutable suspected_dead : Nodeid.Set.t;
   created_at : float;
@@ -38,10 +53,6 @@ type ctx = {
   mutable announce_epoch : int;
   mutable last_announced : Snapshot.t option;
   last_sent : (Nodeid.t, int) Hashtbl.t;
-  (* Per-destination connecting rendezvous servers; a pure function of the
-     grid, cached because the failover maintenance pass asks for every
-     destination every tick. *)
-  connecting_memo : Nodeid.t list option array;
   (* Incremental round-two state: pair winners over our table's own rows,
      repaired in O(changes) per ingested announcement. *)
   cache : Best_hop.Cache.t option;
@@ -72,8 +83,6 @@ let remote_timeout t = t.config.remote_failure_factor *. t.config.routing_interv
    two announce/recommend cycles, with slack for propagation. *)
 let warmup t = t.config.probe_interval_s +. (4. *. t.config.routing_interval_s)
 
-let pair_key ctx server dst = (server * View.size ctx.view) + dst
-
 let set_view t ~now v =
   let stale =
     match t.ctx with
@@ -91,35 +100,33 @@ let set_view t ~now v =
            members come and go, so everything carried is permuted through
            the old-rank-of-new-rank map.  Learned routes survive whenever
            destination and hop are both still members (a one-hop path's
-           validity does not depend on grid geometry; received_at keeps
+           validity does not depend on grid geometry; [route_at] keeps
            aging them out as usual).  Tables, the round-two cache,
            failover episodes and recommendation timestamps are
            deliberately dropped — their consumers (oracle mirrors,
            failover pacing) are keyed by view version and reset cleanly,
            and every row round two reads is stored anew in this view
            before its first use. *)
-        let carried_routes =
-          match t.ctx with
-          | None -> None
-          | Some old ->
-              let map = View.rank_map ~prev:old.view ~next:v in
-              let inv = Array.make (View.size old.view) (-1) in
-              Array.iteri
-                (fun r o -> match o with Some o -> inv.(o) <- r | None -> ())
-                map;
-              let routes = Array.make m None in
-              Array.iteri
-                (fun r o ->
-                  match o with
-                  | Some old_r -> (
-                      match old.routes.(old_r) with
-                      | Some route when inv.(route.hop) >= 0 ->
-                          routes.(r) <- Some { route with hop = inv.(route.hop) }
-                      | Some _ | None -> ())
-                  | None -> ())
-                map;
-              Some routes
-        in
+        let route_hop = Array.make m (-1) and route_at = Array.make m neg_infinity in
+        (match t.ctx with
+        | None -> ()
+        | Some old ->
+            let map = View.rank_map ~prev:old.view ~next:v in
+            let inv = Array.make (View.size old.view) (-1) in
+            Array.iteri
+              (fun r o -> match o with Some o -> inv.(o) <- r | None -> ())
+              map;
+            Array.iteri
+              (fun r o ->
+                match o with
+                | Some old_r ->
+                    let hop = old.route_hop.(old_r) in
+                    if hop >= 0 && inv.(hop) >= 0 then begin
+                      route_hop.(r) <- inv.(hop);
+                      route_at.(r) <- old.route_at.(old_r)
+                    end
+                | None -> ())
+              map);
         t.ctx <-
           Some
             {
@@ -128,12 +135,11 @@ let set_view t ~now v =
               self;
               servers = Grid.rendezvous_servers grid self;
               table = Table.create ~n:m ~owner:self;
-              routes =
-                (match carried_routes with
-                | Some r -> r
-                | None -> Array.make m None);
+              route_hop;
+              route_at;
               rec_last = Array.make m neg_infinity;
-              rec_pair = Hashtbl.create 64;
+              slices = None;
+              rec_overflow = Hashtbl.create 8;
               failover = Nodeid.Map.empty;
               suspected_dead = Nodeid.Set.empty;
               created_at = now;
@@ -149,7 +155,6 @@ let set_view t ~now v =
                 2 + int_of_float (now /. Float.max 1e-6 t.config.routing_interval_s);
               last_announced = None;
               last_sent = Hashtbl.create 8;
-              connecting_memo = Array.make m None;
               cache =
                 (if t.config.incremental_rendezvous && m >= 2 then
                    Some (Best_hop.Cache.create ~n:m ~metric:t.config.metric)
@@ -172,53 +177,83 @@ let make_snapshot t ctx =
   in
   Snapshot.create ~owner:ctx.self entries
 
-(* The default rendezvous servers connecting us to [dst]: common rendezvous
-   of the pair, excluding ourselves and the destination (we track those two
-   separately — we compute locally for our own clients, and the destination
-   serving us is just the direct announcement). *)
-let default_connecting ctx dst =
-  match ctx.connecting_memo.(dst) with
-  | Some servers -> servers
+(* The connecting slices of this view, built on first use: a view that
+   is replaced before it sees a recommendation or a maintenance pass —
+   the common case while members join — never builds them. *)
+let slices ctx =
+  match ctx.slices with
+  | Some sl -> sl
   | None ->
-      let servers =
-        Grid.connecting ctx.grid ctx.self dst
-        |> List.filter (fun k -> k <> ctx.self && k <> dst)
+      let m = View.size ctx.view in
+      let connecting =
+        Array.init m (fun dst ->
+            if dst = ctx.self then []
+            else List.filter (fun k -> k <> ctx.self) (Grid.connecting ctx.grid ctx.self dst))
       in
-      ctx.connecting_memo.(dst) <- Some servers;
-      servers
+      let offsets = Array.make (m + 1) 0 in
+      Array.iteri
+        (fun dst ks -> offsets.(dst + 1) <- offsets.(dst) + List.length ks)
+        connecting;
+      let servers = Array.make offsets.(m) 0 in
+      Array.iteri
+        (fun dst ks -> List.iteri (fun i k -> servers.(offsets.(dst) + i) <- k) ks)
+        connecting;
+      let sl = { offsets; servers; rec_at = Array.make offsets.(m) neg_infinity } in
+      ctx.slices <- Some sl;
+      sl
+
+(* [k]'s slot in [dst]'s slice, or -1. *)
+let slot (sl : slices) k dst =
+  let stop = sl.offsets.(dst + 1) in
+  let rec scan s = if s >= stop then -1 else if sl.servers.(s) = k then s else scan (s + 1) in
+  scan sl.offsets.(dst)
+
+let overflow_key ctx k dst = (k * View.size ctx.view) + dst
+
+(* When [k] last recommended [dst] to us; [neg_infinity] for never. *)
+let rec_time ctx k dst =
+  let sl = slices ctx in
+  let s = slot sl k dst in
+  if s >= 0 then sl.rec_at.(s)
+  else
+    match Hashtbl.find_opt ctx.rec_overflow (overflow_key ctx k dst) with
+    | Some time -> time
+    | None -> neg_infinity
+
+let record_rec ctx k dst ~now =
+  let sl = slices ctx in
+  let s = slot sl k dst in
+  if s >= 0 then sl.rec_at.(s) <- now
+  else Hashtbl.replace ctx.rec_overflow (overflow_key ctx k dst) now
 
 let proximally_dead t ctx rank =
   rank <> ctx.self && not (Monitor.alive t.monitor (View.port_of_rank ctx.view rank))
 
-(* A rendezvous server [k] has failed with respect to destination [dst] if
-   we cannot reach it (proximal) or it has stopped recommending routes to
-   [dst] (remote, Section 4.1).  With footnote-8 relaying enabled a dead
+(* The server in slot [s] of [dst]'s slice has failed with respect to
+   [dst] if we cannot reach it (proximal) or it has stopped recommending
+   routes to [dst] (remote, Section 4.1); one that never recommended
+   counts from the view's start.  With footnote-8 relaying enabled a dead
    direct link no longer severs the exchange, so only recommendation
    silence counts. *)
-let failed_wrt t ctx ~now k dst =
-  ((not t.config.relay_link_state) && proximally_dead t ctx k)
+let slot_failed t ctx (sl : slices) ~now s =
+  ((not t.config.relay_link_state) && proximally_dead t ctx sl.servers.(s))
   ||
-  let last =
-    match Hashtbl.find_opt ctx.rec_pair (pair_key ctx k dst) with
-    | Some time -> time
-    | None -> ctx.created_at
-  in
-  now -. last > remote_timeout t
+  let last = sl.rec_at.(s) in
+  now -. (if last = neg_infinity then ctx.created_at else last) > remote_timeout t
 
 (* Has the pair (self, dst) lost *every* connecting rendezvous?  Three ways
    a pair stays connected: a third-party common rendezvous still works; dst
    itself is one of our rendezvous servers and its recommendations still
-   flow; or dst is our client and we hold a fresh copy of its table
-   (we compute locally).  Only when all fail is this the paper's "double
-   rendezvous failure". *)
+   flow (both are slots of dst's slice); or dst is our client and we hold
+   a fresh copy of its table (we compute locally).  Only when all fail is
+   this the paper's "double rendezvous failure". *)
 let pair_failed t ctx ~now dst =
-  let third_party_ok =
-    List.exists (fun k -> not (failed_wrt t ctx ~now k dst)) (default_connecting ctx dst)
+  let sl = slices ctx in
+  let stop = sl.offsets.(dst + 1) in
+  let rec some_slot_ok s =
+    s < stop && ((not (slot_failed t ctx sl ~now s)) || some_slot_ok (s + 1))
   in
-  third_party_ok = false
-  && (not
-        (Grid.is_rendezvous_for ctx.grid ~server:dst ~client:ctx.self
-        && not (failed_wrt t ctx ~now dst dst)))
+  (not (some_slot_ok sl.offsets.(dst)))
   && not
        (Grid.is_rendezvous_for ctx.grid ~server:ctx.self ~client:dst
        && Table.fresh_row ctx.table dst ~now ~max_age:(Config.staleness_s t.config) <> None)
@@ -381,11 +416,7 @@ let maintain t ctx ~now =
           match Nodeid.Map.find_opt dst ctx.failover with
           | None -> start_failover t ctx ~now ~tried:Nodeid.Set.empty dst
           | Some episode ->
-              let delivered =
-                match Hashtbl.find_opt ctx.rec_pair (pair_key ctx episode.server dst) with
-                | Some time -> now -. time <= remote_timeout t
-                | None -> false
-              in
+              let delivered = now -. rec_time ctx episode.server dst <= remote_timeout t in
               if delivered then ()
               else if now -. episode.since > remote_timeout t then begin
                 (* This failover server did not deliver a route to dst:
@@ -524,8 +555,8 @@ let tick t ~now =
         (fun j ->
           let choice = best_for ~src:ctx.self ~dst:j in
           if Float.is_finite choice.Best_hop.cost then begin
-            ctx.routes.(j) <-
-              Some { hop = choice.Best_hop.hop; received_at = now; via_port = t.self_port };
+            ctx.route_hop.(j) <- choice.Best_hop.hop;
+            ctx.route_at.(j) <- now;
             match t.trace with
             | Some emit ->
                 emit
@@ -642,9 +673,10 @@ let handle_recommend t ~now ~src_port ~view:version entries =
           List.iter
             (fun (dst, hop) ->
               if dst >= 0 && dst < m && hop >= 0 && hop < m && dst <> ctx.self then begin
-                ctx.routes.(dst) <- Some { hop; received_at = now; via_port = src_port };
+                ctx.route_hop.(dst) <- hop;
+                ctx.route_at.(dst) <- now;
                 ctx.rec_last.(dst) <- now;
-                Hashtbl.replace ctx.rec_pair (pair_key ctx src_rank dst) now;
+                record_rec ctx src_rank dst ~now;
                 ctx.suspected_dead <- Nodeid.Set.remove dst ctx.suspected_dead;
                 match t.trace with
                 | Some emit ->
@@ -700,15 +732,16 @@ let best_hop_port t ~now ~dst_port =
       | Some dst when dst = ctx.self -> Some dst_port
       | Some dst -> (
           let max_age = Config.staleness_s t.config in
-          match ctx.routes.(dst) with
+          let hop = ctx.route_hop.(dst) in
           (* Use the stored recommendation only while it is fresh and our
              own probes still consider its first link alive — we always
              have current link state for our own links (Section 4.2). *)
-          | Some r
-            when now -. r.received_at <= max_age
-                 && Monitor.alive t.monitor (View.port_of_rank ctx.view r.hop) ->
-              Some (View.port_of_rank ctx.view r.hop)
-          | Some _ | None -> (
+          if
+            hop >= 0
+            && now -. ctx.route_at.(dst) <= max_age
+            && Monitor.alive t.monitor (View.port_of_rank ctx.view hop)
+          then Some (View.port_of_rank ctx.view hop)
+          else begin
               (* Section 4.2 fallback: evaluate one-hops through the
                  neighbours whose tables we hold.  Our own costs come
                  straight from the monitor, quantized as our announced
@@ -738,7 +771,8 @@ let best_hop_port t ~now ~dst_port =
               done;
               if Float.is_finite !best_cost then Some (View.port_of_rank ctx.view !best_hop)
               else if Monitor.alive t.monitor dst_port then Some dst_port
-              else None)))
+              else None
+          end))
 
 let freshness t ~now ~dst_port =
   match t.ctx with
@@ -789,3 +823,26 @@ let suspects_dead t ~dst_port =
       match View.rank_of_port ctx.view dst_port with
       | Some rank -> Nodeid.Set.mem rank ctx.suspected_dead
       | None -> false)
+
+type state_words = {
+  table_words : int;
+  cache_words : int;
+  rendezvous_words : int;
+  routes_words : int;
+}
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+let state_words t =
+  match t.ctx with
+  | None -> { table_words = 0; cache_words = 0; rendezvous_words = 0; routes_words = 0 }
+  | Some ctx ->
+      let table_words = words ctx.table in
+      {
+        table_words;
+        (* The cache holds the table's own rows: count only what it adds,
+           less the pair's 3-word block. *)
+        cache_words = words (ctx.table, ctx.cache) - 3 - table_words;
+        rendezvous_words = words ctx.slices + words ctx.rec_overflow;
+        routes_words = words ctx.route_hop + words ctx.route_at + words ctx.rec_last;
+      }

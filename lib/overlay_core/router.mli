@@ -18,6 +18,19 @@
     All routing state lives in the rank space of the current membership
     view; messages from other views are discarded.
 
+    Representation: besides the link-state table and the round-two cache,
+    the per-view state is flat arrays with no per-entry allocation.  Each
+    destination's {e connecting servers} — the common rendezvous servers
+    of the pair, plus the destination itself when it serves this node —
+    form one slice of an int array in CSR layout (an offsets array of
+    length m + 1), ~4m slots in all, built from the grid's closed form on
+    the first use in a view.  A float array parallel to it holds when
+    each slot's server last recommended that destination; only the pairs
+    outside the slices (failover servers, current and past) sit in a
+    small table keyed by server and destination.  A learned route is a
+    hop rank ([-1] for none) and a time in two arrays of m, carried
+    across a view change through the rank map.
+
     Sans-IO: the router performs no IO and never reads a clock.  Outbound
     messages and timer (re)arms leave through the {!effects} record, and
     every entry point that depends on time takes the current instant as
@@ -98,3 +111,17 @@ val rendezvous_server_ports : t -> int list
 val suspects_dead : t -> dst_port:int -> bool
 (** Whether the dead-destination check has currently concluded that [dst]
     itself has failed (stops failover attempts for it). *)
+
+type state_words = {
+  table_words : int;  (** the link-state table, rows included *)
+  cache_words : int;  (** the round-two cache beyond the table's rows *)
+  rendezvous_words : int;
+      (** connecting slices, their recommendation times and the overflow
+          table of failover pairs *)
+  routes_words : int;  (** learned routes and per-destination recommendation times *)
+}
+
+val state_words : t -> state_words
+(** [Obj.reachable_words] of each part of the current view's state (all
+    zero outside a view).  Walks the whole state: for tests and memory
+    probes, not the data path. *)

@@ -66,6 +66,16 @@ let set_tap t tap = t.tap <- tap
 let pending t =
   match t.queue with Cal q -> Calqueue.length q | Bin q -> Heap.length q
 
+(* Per event: the queue entry (record, boxed key, array slot), then a
+   delivery's inline record and all its message reaches, or a timer's
+   constructor and closure block. *)
+let queue_words t =
+  let words acc = function
+    | Deliver { msg; _ } -> acc + 7 + 6 + Obj.reachable_words (Obj.repr msg)
+    | Timer f -> acc + 7 + 2 + Obj.size (Obj.repr f) + 1
+  in
+  match t.queue with Cal q -> Calqueue.fold words 0 q | Bin q -> Heap.fold words 0 q
+
 let stats t =
   {
     events = t.n_events;

@@ -74,6 +74,14 @@ val step : 'msg t -> bool
 val pending : 'msg t -> int
 (** Number of queued events. *)
 
+val queue_words : 'msg t -> int
+(** Words held by the pending events: per event its queue entry (7 words:
+    entry record, boxed key, array slot), then a delivery's record and
+    every word its message reaches (a payload shared with a node's state
+    counts again here), or a timer's constructor and closure block, not
+    what the closure captures.  Walks the whole queue: for memory probes,
+    not the event loop. *)
+
 type stats = {
   events : int;  (** Events processed (popped and executed). *)
   sends : int;  (** Packets transmitted via [send]. *)

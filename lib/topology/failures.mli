@@ -5,7 +5,15 @@
     distributed sojourn times.  A link's failure rate is the sum of its
     endpoints' rates, and a small {e flaky} minority of nodes carries a
     much higher rate, producing Figure 8's shape: most nodes see a handful
-    of concurrent link failures on average, a few see dozens. *)
+    of concurrent link failures on average, a few see dozens.
+
+    The model keeps each link's next transition time and phase in flat
+    arrays with a min-heap of links on (due time, arm order), and keeps
+    one engine wakeup pending, at the earliest due time: about four words
+    and a byte per link, and never more than one event in the engine's
+    queue.  A wakeup processes every due link in key order, so each
+    exponential draw happens in the order that one engine timer per link
+    would give, and runs are identical to such a model's. *)
 
 open Apor_sim
 

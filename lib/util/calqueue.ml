@@ -245,6 +245,16 @@ let peek t =
     Some (e.key, e.value)
   end
 
+let fold f acc t =
+  let cell acc c =
+    let acc = ref acc in
+    for i = 0 to c.len - 1 do
+      acc := f !acc c.data.(i).value
+    done;
+    !acc
+  in
+  cell (Array.fold_left cell acc t.buckets) t.overflow
+
 let clear t =
   t.buckets <- fresh_buckets initial_buckets;
   t.mask <- initial_buckets - 1;

@@ -33,4 +33,7 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum-key element without removing it. *)
 
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** Fold over the queued elements in no particular order. *)
+
 val clear : 'a t -> unit

@@ -79,6 +79,13 @@ let pop t =
 
 let peek t = if t.size = 0 then None else Some (t.data.(0).key, t.data.(0).value)
 
+let fold f acc t =
+  let acc = ref acc in
+  for i = 0 to t.size - 1 do
+    acc := f !acc t.data.(i).value
+  done;
+  !acc
+
 let clear t =
   t.data <- [||];
   t.size <- 0

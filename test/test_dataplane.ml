@@ -589,6 +589,31 @@ let test_driver_send () =
       | exception Invalid_argument _ -> ())
     [ (0, 0); (0, 4); (-1, 3) ]
 
+(* The open loop forgets a datagram nobody delivers (the fake host's wire
+   is a link that is down) once a later arrival finds it older than the
+   flow timeout, and counts nothing for it. *)
+let test_driver_open_loop_forgets_lost () =
+  let f, host = fake_host ~n:4 () in
+  let metrics = Metrics.create ~window_s:1. ~t0:0. in
+  let d = Driver.attach host ~spec:small_spec ~seed:2 ~metrics () in
+  host.Host.run_until 1.;
+  check_bool "in flight within the timeout" true (Driver.in_flight d 0);
+  host.Host.run_until (Apor_dataplane.Flows.timeout_s +. 1.);
+  Driver.stop d;
+  let last = Driver.sent d - 1 in
+  check_bool "gone after the timeout" false (Driver.in_flight d 0);
+  check_bool "a young datagram stays" true (Driver.in_flight d last);
+  check_int "nothing delivered" 0 (Driver.delivered d);
+  check_int "no drop recorded" 0 (Metrics.dropped metrics);
+  (* A drop at the hop budget leaves flight at once. *)
+  (match f.wire with
+  | (_, p) :: _ ->
+      check_bool "the newest is in flight" true (Driver.in_flight d p.Packet.id);
+      let stray = { p with Packet.hops = Packet.max_hops } in
+      ignore (arrive f ~node:((p.Packet.dst + 1) mod 4) stray : bool);
+      check_bool "dropped at the hop budget" false (Driver.in_flight d p.Packet.id)
+  | [] -> Alcotest.fail "nothing sent")
+
 let test_driver_stray_port () =
   let f, host = fake_host ~n:4 () in
   let d, metrics = idle_driver host in
@@ -742,6 +767,8 @@ let () =
             test_driver_open_loop_due_times;
           Alcotest.test_case "stray port rejected" `Quick test_driver_stray_port;
           Alcotest.test_case "on-demand send" `Quick test_driver_send;
+          Alcotest.test_case "open loop forgets lost datagrams" `Quick
+            test_driver_open_loop_forgets_lost;
         ] );
       ( "run(udp)",
         [

@@ -616,6 +616,163 @@ let test_best_hop_to_self () =
   Cluster.run_until c 100.;
   Alcotest.(check (option int)) "self" (Some 0) (Cluster.best_hop c ~src:0 ~dst:0)
 
+(* --- Router state ------------------------------------------------------------------ *)
+
+(* A router alone, with no network: a static view of ports [0, m), a
+   monitor that never probes (every peer alive until forced dead), and
+   effects that drop every send.  Time moves only when the test says. *)
+let bare_router ~m ~self =
+  let config = Config.quorum_default in
+  let monitor =
+    Monitor.create ~config ~self ~capacity:m ~rng:(Apor_util.Rng.make ~seed:1)
+      {
+        Monitor.send_probe = (fun ~dst:_ ~seq:_ -> ());
+        set_wakeup = (fun ~at:_ -> ());
+        on_peer_death = ignore;
+        on_peer_recovery = ignore;
+      }
+  in
+  let r =
+    Router.create ~config ~self_port:self ~rng:(Apor_util.Rng.make ~seed:2) ~monitor
+      { Router.send = (fun ~dst_port:_ _ -> ()); set_tick_timer = (fun ~delay:_ -> ()) }
+  in
+  Router.set_view r ~now:0. (View.create ~version:1 ~members:(List.init m Fun.id));
+  (r, monitor)
+
+let recommend r ~now ~src entries =
+  Router.handle_message r ~now ~src_port:src (Message.Recommend { view = 1; entries })
+
+(* On the 3x3 grid node 0 reaches 8 only through the crossing cells 2 and
+   6.  With both dead, 8 gets a failover server from its own row and
+   column, 5 or 7, whose recommendation times live outside node 0's
+   connecting slices.  Servers 1 and 3 keep every other destination
+   connected.  Returns the failover servers in use after each tick from
+   90 s (the end of warm-up) to [until]. *)
+let failover_servers ~candidates_recommend ~until =
+  let r, monitor = bare_router ~m:9 ~self:0 in
+  Monitor.force_status monitor 2 ~up:false;
+  Monitor.force_status monitor 6 ~up:false;
+  Router.start r;
+  let every = List.init 8 (fun d -> (d + 1, d + 1)) in
+  let seen = ref [] in
+  let now = ref 15. in
+  while !now <= until do
+    recommend r ~now:(!now -. 1.) ~src:1 every;
+    recommend r ~now:(!now -. 1.) ~src:3 every;
+    (* Recorded from the start: before the episode that uses the server. *)
+    if candidates_recommend then begin
+      recommend r ~now:(!now -. 1.) ~src:5 [ (8, 8) ];
+      recommend r ~now:(!now -. 1.) ~src:7 [ (8, 8) ]
+    end;
+    Router.on_tick_timer r ~now:!now;
+    if !now >= 90. then
+      seen :=
+        List.filter
+          (fun p -> not (List.mem p [ 1; 2; 3; 6 ]))
+          (Router.rendezvous_server_ports r)
+        :: !seen;
+    now := !now +. 15.
+  done;
+  List.rev !seen
+
+let test_router_failover_overflow_keeps_episode () =
+  match failover_servers ~candidates_recommend:true ~until:400. with
+  | [ f ] :: rest ->
+      check_bool "a candidate of 8's row or column" true (f = 5 || f = 7);
+      check_bool "the same server throughout" true (List.for_all (( = ) [ f ]) rest)
+  | _ -> Alcotest.fail "expected one failover server from the end of warm-up"
+
+let test_router_failover_silent_server_replaced () =
+  match failover_servers ~candidates_recommend:false ~until:400. with
+  | [ f ] :: rest ->
+      check_bool "a silent failover server is replaced" true (List.exists (( <> ) [ f ]) rest)
+  | _ -> Alcotest.fail "expected one failover server from the end of warm-up"
+
+(* Double-rendezvous-failure counts on an incomplete grid (95 nodes: a
+   10x10 grid with five cells in its last row, so extra assignments
+   exist) against a model written from [Grid.connecting]: a pair stays
+   connected while one of its connecting servers (self excluded) is alive
+   and recommended the destination within the remote timeout, counting
+   from the view's start for a server that never did.  Recommendations
+   come from arbitrary servers, most of them outside the slices. *)
+let gen_rec_case =
+  QCheck.Gen.(
+    let* self = int_range 0 94 in
+    let* dead = list_size (int_range 0 12) (int_range 0 94) in
+    let* recs =
+      list_size (int_range 0 600)
+        (triple (float_range 0. 250.) (int_range 0 94) (int_range 0 94))
+    in
+    return (self, dead, List.sort compare recs))
+
+let rec_model_qcheck =
+  QCheck.Test.make ~count:60 ~name:"slices = Grid.connecting (incomplete grid)"
+    (QCheck.make gen_rec_case)
+    (fun (self, dead, recs) ->
+      let m = 95 in
+      let grid = Apor_quorum.Grid.build m in
+      let r, monitor = bare_router ~m ~self in
+      List.iter (fun p -> if p <> self then Monitor.force_status monitor p ~up:false) dead;
+      let last = Hashtbl.create 64 in
+      let remote = Config.quorum_default.Config.remote_failure_factor *. 15. in
+      let model ~now =
+        let failed k dst =
+          (k <> self && not (Monitor.alive monitor k))
+          || now -. Option.value (Hashtbl.find_opt last (k, dst)) ~default:0. > remote
+        in
+        let count = ref 0 in
+        for dst = 0 to m - 1 do
+          if dst <> self then begin
+            let conn = List.filter (( <> ) self) (Apor_quorum.Grid.connecting grid self dst) in
+            if not (List.exists (fun k -> not (failed k dst)) conn) then incr count
+          end
+        done;
+        !count
+      in
+      let pending = ref recs in
+      List.for_all
+        (fun now ->
+          let rec feed () =
+            match !pending with
+            | (at, src, dst) :: rest when at <= now ->
+                pending := rest;
+                recommend r ~now:at ~src [ (dst, (dst + 1) mod m) ];
+                if dst <> self then Hashtbl.replace last (src, dst) at;
+                feed ()
+            | _ -> ()
+          in
+          feed ();
+          let got = Router.double_rendezvous_failure_count r ~now and want = model ~now in
+          if got <> want then
+            QCheck.Test.fail_reportf "at %.0f s: router %d, model %d" now got want;
+          true)
+        [ 95.; 120.; 150.; 200.; 260. ])
+
+(* A warmed static cluster's per-view bookkeeping beyond the table and
+   cache is linear in n: ~3n connecting slots on an 8x8 grid, each an int
+   and an unboxed float, plus the offsets (reads 488 words at n = 64),
+   and two route arrays and the freshness array of n.  A float boxed per
+   server and destination, or a list per destination, does not fit. *)
+let test_router_state_words () =
+  let n = 64 in
+  let c =
+    Cluster.create ~config:Config.quorum_default ~rtt_ms:(test_matrix ~seed:5 n) ~seed:5 ()
+  in
+  Cluster.start c;
+  Cluster.run_until c 200.;
+  for port = 0 to n - 1 do
+    match Node.quorum_router (Cluster.node c port) with
+    | None -> Alcotest.fail "expected quorum router"
+    | Some r ->
+        let w = Router.state_words r in
+        if w.Router.rendezvous_words > (8 * n) + 64 then
+          Alcotest.failf "node %d: %d rendezvous words, bound %d" port w.Router.rendezvous_words
+            ((8 * n) + 64);
+        if w.Router.routes_words > (3 * n) + 8 then
+          Alcotest.failf "node %d: %d route words, bound %d" port w.Router.routes_words
+            ((3 * n) + 8)
+  done
+
 let () =
   Alcotest.run "apor_overlay"
     [
@@ -681,5 +838,11 @@ let () =
           Alcotest.test_case "garbage recommendations ignored" `Quick test_out_of_range_recommendation_ignored;
           Alcotest.test_case "server ports match grid" `Quick test_router_server_ports_match_grid;
           Alcotest.test_case "best hop to self" `Quick test_best_hop_to_self;
+          Alcotest.test_case "failover pairs outside the slices" `Quick
+            test_router_failover_overflow_keeps_episode;
+          Alcotest.test_case "silent failover server replaced" `Quick
+            test_router_failover_silent_server_replaced;
+          QCheck_alcotest.to_alcotest rec_model_qcheck;
+          Alcotest.test_case "state words linear in n" `Quick test_router_state_words;
         ] );
     ]

@@ -184,6 +184,148 @@ let test_failures_respect_node_range () =
   Engine.run_until engine 5000.;
   check_int "coordinator untouched" 0 (Network.down_links net n)
 
+(* The one-timer-per-link model the flat one replaced, kept as the
+   reference: every link arms its own engine timer for its next
+   transition, and each firing draws the next sojourn. *)
+let reference_install ~engine ?(first_node = 0) ?last_node ~(profile : Failures.profile) ~seed
+    () =
+  let network = Engine.network engine in
+  let last_node = Option.value last_node ~default:(Network.size network - 1) in
+  let rng = Rng.split (Rng.make ~seed) "failures" in
+  let flaky = Array.make (Network.size network) false in
+  for i = first_node to last_node do
+    flaky.(i) <- Rng.bernoulli rng ~p:profile.flaky_fraction
+  done;
+  let base_rate =
+    if Float.is_finite profile.mean_time_to_failure_s then 1. /. profile.mean_time_to_failure_s
+    else 0.
+  in
+  let node_rate i = if flaky.(i) then base_rate *. profile.flaky_rate_multiplier else base_rate in
+  let rec schedule_failure i j rate =
+    if rate > 0. then begin
+      let delay = Rng.exponential rng ~mean:(1. /. rate) in
+      Engine.schedule engine ~delay (fun () ->
+          Network.set_link_up network i j false;
+          let downtime = Rng.exponential rng ~mean:profile.mean_downtime_s in
+          Engine.schedule engine ~delay:downtime (fun () ->
+              Network.set_link_up network i j true;
+              schedule_failure i j rate))
+    end
+  in
+  for i = first_node to last_node do
+    for j = i + 1 to last_node do
+      schedule_failure i j ((node_rate i +. node_rate j) /. 2.)
+    done
+  done;
+  List.filter (fun i -> flaky.(i)) (List.init (Network.size network) Fun.id)
+
+type failure_case = {
+  n : int;
+  first : int;
+  last : int;
+  fseed : int;
+  profile : Failures.profile;
+  horizon : float;
+}
+
+let print_failure_case c =
+  Printf.sprintf "n=%d nodes=[%d,%d] seed=%d mttf=%g down=%g flaky=%g x%g horizon=%g" c.n
+    c.first c.last c.fseed c.profile.Failures.mean_time_to_failure_s
+    c.profile.Failures.mean_downtime_s c.profile.Failures.flaky_fraction
+    c.profile.Failures.flaky_rate_multiplier c.horizon
+
+let gen_failure_case =
+  QCheck.Gen.(
+    let* n = int_range 2 12 in
+    let* first = int_range 0 (n - 1) in
+    let* last = int_range first (n - 1) in
+    let* fseed = int_range 0 1_000_000 in
+    let* mttf = oneof [ return infinity; float_range 20. 2000. ] in
+    let* down = float_range 1. 300. in
+    let* flaky_fraction = oneof [ return 0.; return 1.; float_range 0. 1. ] in
+    let* mult = float_range 1. 40. in
+    let* horizon = float_range 0. 3000. in
+    return
+      {
+        n;
+        first;
+        last;
+        fseed;
+        profile =
+          {
+            Failures.mean_time_to_failure_s = mttf;
+            mean_downtime_s = down;
+            flaky_fraction;
+            flaky_rate_multiplier = mult;
+          };
+        horizon;
+      })
+
+(* Run one model alone on its own engine up to the horizon and log every
+   link transition as (time, i, j, up), read off the network after each
+   engine event; [on_step] sees the engine between events. *)
+let failure_log c ~install ~on_step =
+  let rtt = Array.make_matrix c.n c.n 10. in
+  let net = Network.create ~rtt_ms:rtt ~seed:1 () in
+  let engine : unit Engine.t = Engine.create ~network:net () in
+  let flaky = install engine in
+  let state = Array.init c.n (fun i -> Array.init c.n (fun j -> Network.link_up net i j)) in
+  let log = ref [] in
+  on_step engine;
+  let rec go () =
+    if Engine.step engine && Engine.now engine <= c.horizon then begin
+      for i = 0 to c.n - 1 do
+        for j = i + 1 to c.n - 1 do
+          let up = Network.link_up net i j in
+          if up <> state.(i).(j) then begin
+            state.(i).(j) <- up;
+            log := (Engine.now engine, i, j, up) :: !log
+          end
+        done
+      done;
+      on_step engine;
+      go ()
+    end
+  in
+  go ();
+  (flaky, List.rev !log)
+
+let failures_equivalence_qcheck =
+  QCheck.Test.make ~count:300 ~name:"one wakeup = one timer per link"
+    (QCheck.make gen_failure_case ~print:print_failure_case)
+    (fun c ->
+      let install_ref engine =
+        reference_install ~engine ~first_node:c.first ~last_node:c.last ~profile:c.profile
+          ~seed:c.fseed ()
+      in
+      let install_flat engine =
+        Failures.flaky_nodes
+          (Failures.install ~engine ~first_node:c.first ~last_node:c.last ~profile:c.profile
+             ~seed:c.fseed ())
+      in
+      let most = ref 0 in
+      let ref_flaky, ref_log = failure_log c ~install:install_ref ~on_step:ignore in
+      let flaky, log =
+        failure_log c ~install:install_flat ~on_step:(fun e ->
+            most := max !most (Engine.pending e))
+      in
+      if flaky <> ref_flaky then QCheck.Test.fail_report "flaky nodes differ";
+      if !most > 1 then QCheck.Test.fail_reportf "%d failure-model events pending" !most;
+      (if log <> ref_log then
+         let pp (t, i, j, up) =
+           Printf.sprintf "%h %d-%d %s" t i j (if up then "up" else "down")
+         in
+         let rec first_diff a b k =
+           match (a, b) with
+           | x :: a, y :: b when x = y -> first_diff a b (k + 1)
+           | x :: _, y :: _ -> Printf.sprintf "event %d: reference %s, flat %s" k (pp x) (pp y)
+           | [], y :: _ -> Printf.sprintf "event %d: reference ends, flat %s" k (pp y)
+           | x :: _, [] -> Printf.sprintf "event %d: reference %s, flat ends" k (pp x)
+           | [], [] -> "equal"
+         in
+         QCheck.Test.fail_report (first_diff ref_log log 0));
+      true)
+
 (* --- Scenario -------------------------------------------------------------------- *)
 
 let test_scenario_executes_timeline () =
@@ -238,6 +380,7 @@ let () =
           Alcotest.test_case "fail and recover" `Slow test_failures_links_fail_and_recover;
           Alcotest.test_case "flaky nodes worse" `Slow test_failures_flaky_nodes_worse;
           Alcotest.test_case "respects node range" `Quick test_failures_respect_node_range;
+          QCheck_alcotest.to_alcotest failures_equivalence_qcheck;
         ] );
       ( "scenario",
         [
