@@ -3,7 +3,7 @@
    For each overlay size the sweep runs the same staggered-join schedule
    twice — once through the decentralized quorum-write protocol
    (lib/membership) and once through the legacy coordinator
-   ([Config.centralized_membership]) — and reports per-join admission
+   ([Cluster.Coordinator]) — and reports per-join admission
    latency plus the membership-class messages and bytes the whole overlay
    exchanged from the join request until the view settles.  The message
    window deliberately includes the post-commit announce and the gossip
@@ -49,13 +49,18 @@ let admitted cluster j =
   | Some v -> View.contains_port v j
   | None -> false
 
-let measure ~seed ~n ~centralized ?(joiners = 3) () =
+let measure ~seed ~membership ?(joiners = 3) () =
+  let n, mode =
+    match membership with
+    | Cluster.Dynamic { initial; _ } -> (initial, "quorum")
+    | Cluster.Coordinator { initial; _ } -> (initial, "centralized")
+    | Cluster.Static -> invalid_arg "Membership.measure: static membership admits no joins"
+  in
   let total = n + joiners in
   let rtt = Array.make_matrix total total 40. in
   for i = 0 to total - 1 do
     rtt.(i).(i) <- 0.
   done;
-  let config = { Config.quorum_default with centralized_membership = centralized } in
   let trace = Collector.create ~capacity:1024 () in
   (* Count membership-class sends only while a join window is open; the
      subscription sees every event even after the tiny ring wraps. *)
@@ -81,9 +86,7 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
           admit_time := tv.time
       | _ -> ());
   let cluster =
-    Cluster.create ~config ~rtt_ms:rtt
-      ~membership:(Cluster.Dynamic { initial = n; rtt_ms = 40. })
-      ~trace ~seed ()
+    Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt ~membership ~trace ~seed ()
   in
   Cluster.start cluster;
   Cluster.run_until cluster warmup_s;
@@ -106,8 +109,7 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
       failwith
         (Printf.sprintf "membership bench: join of node %d not admitted within %gs \
                          (n=%d, %s)"
-           j join_deadline_s n
-           (if centralized then "centralized" else "quorum"));
+           j join_deadline_s n mode);
     (* the coordinator path predates View_adopted; fall back to the poll
        grid there (granularity [poll_s]) *)
     let latency =
@@ -132,7 +134,7 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
   in
   {
     m_n = n;
-    m_mode = (if centralized then "centralized" else "quorum");
+    m_mode = mode;
     m_joiners = joiners;
     m_join_mean_s = sum (fun (l, _, _, _, _) -> l) /. k;
     m_join_max_s =
@@ -163,8 +165,8 @@ let run ~quick ~seed =
   List.iter
     (fun n ->
       List.iter
-        (fun centralized ->
-          let p = measure ~seed ~n ~centralized () in
+        (fun membership ->
+          let p = measure ~seed ~membership () in
           points := p :: !points;
           Texttable.add_row table
             [
@@ -177,7 +179,10 @@ let run ~quick ~seed =
               Printf.sprintf "%.1f" p.m_hot_node_msgs;
               Printf.sprintf "%d/%d" p.m_hot_distinct p.m_joiners;
             ])
-        [ false; true ])
+        [
+          Cluster.Dynamic { initial = n; rtt_ms = 40. };
+          Cluster.Coordinator { initial = n; rtt_ms = 40. };
+        ])
     sizes;
   print_string (Texttable.render table);
   Printf.printf

@@ -387,8 +387,10 @@ let scaling ?json ~quick ~jobs ~seed () =
       Printf.printf "measuring membership admission cost for the baseline rows...\n%!";
       let membership =
         [
-          Membership.measure ~seed ~n:49 ~centralized:false ();
-          Membership.measure ~seed ~n:49 ~centralized:true ();
+          Membership.measure ~seed
+            ~membership:(Apor_overlay.Cluster.Dynamic { initial = 49; rtt_ms = 40. }) ();
+          Membership.measure ~seed
+            ~membership:(Apor_overlay.Cluster.Coordinator { initial = 49; rtt_ms = 40. }) ();
         ]
       in
       write_json ~path ~seed ~jobs ~runs ~oracle ~dataplane ~membership;

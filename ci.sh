@@ -105,6 +105,14 @@ rm -f /tmp/apor-chaos-m-a.json /tmp/apor-chaos-m-b.json
 dune exec bin/apor.exe -- chaos --scenario examples/chaos/coordinator_kill_forever.scn \
   --runtime udp --base-port 9900
 
+# Centralized-coordinator baseline (sim only): the membership coordinator
+# goes away for two minutes in steady state. The only byte-for-byte gate
+# on the Cluster.Coordinator path.
+dune exec bin/apor.exe -- chaos --scenario examples/chaos/coordinator.scn \
+  --runtime sim --json /tmp/apor-chaos-c.json > /dev/null
+golden /tmp/apor-chaos-c.json test/golden/chaos_coordinator.json
+rm -f /tmp/apor-chaos-c.json
+
 # Data-plane smoke (sim): a short churn run with the oracle attached;
 # the command itself exits 1 on any traffic- or datagram-conservation
 # violation. Run twice and diff the report JSONs: same seed must be

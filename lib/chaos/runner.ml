@@ -7,68 +7,13 @@ module Host = Apor_dataplane.Host
 module Driver = Apor_dataplane.Driver
 module Collector = Apor_trace.Collector
 module Oracle = Apor_trace.Oracle
-module Event = Apor_trace.Event
+module Query = Apor_trace.Query
 
 type outcome = {
   score : Score.t;
   violations : Oracle.violation list;
   passed : bool;
 }
-
-(* Metric accumulation over the live stream.  The ring wraps long before a
-   scenario ends (engine events dominate), so latency and failover metrics
-   are gathered by subscription — the same pairing rules as
-   [Apor_trace.Query], which only sees the retained tail. *)
-module Acc = struct
-  type t = {
-    computed : (int * int, float) Hashtbl.t;  (* (server, client) -> sent at *)
-    last_sample : (int * int, float) Hashtbl.t;
-    mutable rec_latencies : float list;
-    open_failovers : (int * int, float) Hashtbl.t;  (* (node, dst) -> started *)
-    mutable failover_durations : float list;
-    mutable failover_count : int;
-  }
-
-  let create () =
-    {
-      computed = Hashtbl.create 256;
-      last_sample = Hashtbl.create 256;
-      rec_latencies = [];
-      open_failovers = Hashtbl.create 32;
-      failover_durations = [];
-      failover_count = 0;
-    }
-
-  let observe acc (tv : Collector.timed) =
-    match tv.event with
-    | Event.Rec_computed { server; client; _ } ->
-        Hashtbl.replace acc.computed (server, client) tv.time
-    | Event.Rec_applied { node; server; local = false; _ } -> (
-        match Hashtbl.find_opt acc.computed (server, node) with
-        | Some tc ->
-            (* entries of one round-two message apply at one instant;
-               collapse them into a single latency sample *)
-            if Hashtbl.find_opt acc.last_sample (server, node) <> Some tv.time then begin
-              Hashtbl.replace acc.last_sample (server, node) tv.time;
-              acc.rec_latencies <- (tv.time -. tc) :: acc.rec_latencies
-            end
-        | None -> ())
-    | Event.Failover_started { node; dst; _ } ->
-        acc.failover_count <- acc.failover_count + 1;
-        (match Hashtbl.find_opt acc.open_failovers (node, dst) with
-        | Some t0 -> acc.failover_durations <- (tv.time -. t0) :: acc.failover_durations
-        | None -> ());
-        Hashtbl.replace acc.open_failovers (node, dst) tv.time
-    | Event.Failover_stopped { node; dst; _ } -> (
-        match Hashtbl.find_opt acc.open_failovers (node, dst) with
-        | Some t0 ->
-            Hashtbl.remove acc.open_failovers (node, dst);
-            acc.failover_durations <- (tv.time -. t0) :: acc.failover_durations
-        | None -> ())
-    | _ -> ()
-
-  let subscribe acc collector = Collector.subscribe collector (fun tv -> observe acc tv)
-end
 
 (* Light background user workload every chaos run carries: its end-to-end
    loss localizes the damage the availability probes only sample. *)
@@ -128,17 +73,19 @@ type runtime = {
 }
 
 (* The trace, the recording oracle and the metric subscriber, made before
-   the runtime so they see its first event. *)
+   the runtime so they see its first event.  The ring wraps long before a
+   scenario ends (engine events dominate), so latency and failover metrics
+   follow the live stream. *)
 let observe config =
   let trace, oracle = Apor_dataplane.Run.observe config in
-  let acc = Acc.create () in
-  Acc.subscribe acc trace;
+  let acc = Query.Acc.create () in
+  Collector.subscribe trace (Query.Acc.observe acc);
   (trace, oracle, acc)
 
 (* The one run body: background workload, one agenda of injector actions
    and availability probes (actions first on ties), then staleness, view
    agreement, joins and conservation at the horizon. *)
-let run_on rt ~(scn : Scenario.t) ~config ~trace ~oracle ~(acc : Acc.t) ~progress =
+let run_on rt ~(scn : Scenario.t) ~config ~trace ~oracle ~(acc : Query.Acc.t) ~progress =
   let host = rt.host and time_scale = rt.time_scale in
   let metrics =
     Apor_dataplane.Metrics.create ~window_s:(user_loss_window_s *. time_scale) ~t0:(host.now ())
@@ -222,7 +169,7 @@ let run_on rt ~(scn : Scenario.t) ~config ~trace ~oracle ~(acc : Acc.t) ~progres
       scn.events
   in
   let to_scn t = t /. time_scale in
-  let summarize_scaled samples = Stats.summarize (List.rev_map to_scn samples) in
+  let summarize_scaled samples = Stats.summarize (List.map to_scn samples) in
   let m = List.length live_h in
   let score =
     {
@@ -244,9 +191,9 @@ let run_on rt ~(scn : Scenario.t) ~config ~trace ~oracle ~(acc : Acc.t) ~progres
               avail_after = after.(widx);
             })
           scn.events;
-      failover_count = acc.failover_count;
-      failover_s = summarize_scaled acc.failover_durations;
-      rec_latency_s = summarize_scaled acc.rec_latencies;
+      failover_count = Query.Acc.failovers_started acc;
+      failover_s = summarize_scaled (Query.Acc.failover_durations acc);
+      rec_latency_s = summarize_scaled (Query.Acc.rec_latencies acc);
       staleness_s = Stats.summarize (List.map to_scn !staleness_samples);
       violations_total = Oracle.violation_count oracle;
       violations_out_of_grace = List.length (Oracle.violations_outside oracle ~windows:excused);
@@ -277,7 +224,8 @@ let run_sim ?params ?(progress = fun _ -> ()) (scn : Scenario.t) =
       let membership =
         if Scenario.uses_membership scn then
           Cluster.Dynamic { initial = scn.members; rtt_ms = 40. }
-        else if Scenario.uses_coordinator scn then Cluster.Coordinator { rtt_ms = 40. }
+        else if Scenario.uses_coordinator scn then
+          Cluster.Coordinator { initial = scn.n; rtt_ms = 40. }
         else Cluster.Static
       in
       let cluster =

@@ -1,6 +1,6 @@
-(** {!Driver} on the simulator ({!Host.of_cluster}): every transport hop
-    is a normal engine send, so {!Apor_sim.Traffic} accounting and the
-    byte-conservation invariant hold without special cases. *)
+(** {!Driver} on the simulator ({!Host.of_cluster}), under the name the
+    repository benchmark's worker (perfbench/worker/sim.ml) calls; new
+    code calls [Driver.attach (Host.of_cluster c)] directly. *)
 
 include Driver
 

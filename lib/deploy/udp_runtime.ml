@@ -2,66 +2,6 @@ open Apor_util
 module Core = Apor_overlay_core
 module Ev = Apor_trace.Event
 
-(* A binary min-heap of armed timers, FIFO within equal deadlines. *)
-module Timers = struct
-  type entry = { at : float; seq : int; run : unit -> unit }
-
-  type t = { mutable a : entry array; mutable len : int; mutable seq : int }
-
-  let dummy = { at = 0.; seq = 0; run = ignore }
-
-  let create () = { a = Array.make 64 dummy; len = 0; seq = 0 }
-
-  let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
-
-  let add t ~at run =
-    if t.len = Array.length t.a then begin
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.a 0 bigger 0 t.len;
-      t.a <- bigger
-    end;
-    let e = { at; seq = t.seq; run } in
-    t.seq <- t.seq + 1;
-    let i = ref t.len in
-    t.len <- t.len + 1;
-    t.a.(!i) <- e;
-    while !i > 0 && before t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := p
-    done
-
-  let next_at t = if t.len = 0 then None else Some t.a.(0).at
-  let length t = t.len
-
-  let pop_due t ~now =
-    if t.len = 0 || t.a.(0).at > now then None
-    else begin
-      let top = t.a.(0) in
-      t.len <- t.len - 1;
-      t.a.(0) <- t.a.(t.len);
-      t.a.(t.len) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && before t.a.(l) t.a.(!smallest) then smallest := l;
-        if r < t.len && before t.a.(r) t.a.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = t.a.(!smallest) in
-          t.a.(!smallest) <- t.a.(!i);
-          t.a.(!i) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top.run
-    end
-end
-
 type stats = {
   mutable datagrams_sent : int;
   mutable datagrams_received : int;
@@ -121,7 +61,7 @@ type t = {
   membership : membership;
   base_port : int;
   clock : Clock.t;
-  timers : Timers.t;
+  timers : (unit -> unit) Heap.t; (* armed timers by (due time, arm order) *)
   endpoints : endpoint array;
   recv_buf : bytes;
   stats : stats;
@@ -267,17 +207,17 @@ let send_data t ~src ~dst ~size ~fill =
             let copy = Bytes.sub link.dbuf pos size in
             link.dlen <- pos;
             link.dframes <- link.dframes - 1;
-            Timers.add t.timers
-              ~at:(Clock.now t.clock +. Float.max 0. d)
+            Heap.push t.timers
+              ~key:(Clock.now t.clock +. Float.max 0. d)
               (fun () -> if ep.alive then append_data_copy t ep link copy))
   end
 
 let set_data_sink t sink = t.data_sink <- sink
 
 let schedule t ~delay f =
-  Timers.add t.timers ~at:(Clock.now t.clock +. Float.max 0. delay) f
+  Heap.push t.timers ~key:(Clock.now t.clock +. Float.max 0. delay) f
 
-let pending_timers t = Timers.length t.timers
+let pending_timers t = Heap.length t.timers
 
 let pending_sends t =
   Array.exists
@@ -327,8 +267,8 @@ let send_from t ep ~dst_port msg =
             enqueue (Bytes.copy frame)
         | Delay d ->
             let inc = ep.incarnation in
-            Timers.add t.timers
-              ~at:(Clock.now t.clock +. Float.max 0. d)
+            Heap.push t.timers
+              ~key:(Clock.now t.clock +. Float.max 0. d)
               (fun () -> if ep.alive && ep.incarnation = inc then enqueue frame))
   end
 
@@ -384,7 +324,7 @@ let wire_core t ep =
       ~now:(fun () -> Clock.now t.clock)
       ~send:(fun ~dst_port msg -> send_from t ep ~dst_port msg)
       ~schedule:(fun ~at f ->
-        Timers.add t.timers ~at (fun () -> if ep.alive && ep.incarnation = inc then f ()))
+        Heap.push t.timers ~key:at (fun () -> if ep.alive && ep.incarnation = inc then f ()))
       ~on_recommend:(fun ~server_port:_ ~dst_port ~hop_port:_ ->
         if dst_port >= 0 && dst_port < t.n && not ep.covered.(dst_port) then begin
           ep.covered.(dst_port) <- true;
@@ -402,11 +342,7 @@ let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed (
   | `Static -> ()
   | `Dynamic initial ->
       if initial < 2 || initial > n then
-        invalid_arg "Udp_runtime.create: Dynamic initial outside [2, n]";
-      if config.Core.Config.centralized_membership then
-        invalid_arg
-          "Udp_runtime.create: centralized membership needs a coordinator \
-           endpoint, which the UDP runtime does not host");
+        invalid_arg "Udp_runtime.create: Dynamic initial outside [2, n]");
   let clock = Clock.create () in
   (match trace with
   | Some tr -> Apor_trace.Collector.set_clock tr (fun () -> Clock.now clock)
@@ -456,7 +392,7 @@ let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed (
           undecodable = 0;
         })
   in
-  let timers = Timers.create () in
+  let timers = Heap.create () in
   let t =
     {
       n;
@@ -529,13 +465,13 @@ let join_node t i =
     | Some rt -> Core.Runtime.dispatch rt Core.Node_core.Start
     | None -> ()
 
-let fire_due_timers t =
-  let continue = ref true in
-  while !continue do
-    match Timers.pop_due t.timers ~now:(Clock.now t.clock) with
-    | Some run -> run ()
-    | None -> continue := false
-  done
+let rec fire_due_timers t =
+  match Heap.peek t.timers with
+  | Some (at, run) when at <= Clock.now t.clock ->
+      ignore (Heap.pop t.timers);
+      run ();
+      fire_due_timers t
+  | Some _ | None -> ()
 
 let receive_ready t ready =
   List.iter
@@ -625,8 +561,8 @@ let run t ~duration =
       in
       let until_deadline = deadline -. now in
       let until_timer =
-        match Timers.next_at t.timers with
-        | Some at -> Float.max 0. (at -. now)
+        match Heap.peek t.timers with
+        | Some (at, _) -> Float.max 0. (at -. now)
         | None -> until_deadline
       in
       let cap = if pending_sends t then 0.01 else 0.25 in

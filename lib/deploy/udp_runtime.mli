@@ -65,10 +65,9 @@ type frame_fate = Pass | Drop | Corrupt | Duplicate | Delay of float
 type membership = [ `Static | `Dynamic of int ]
 (** [`Dynamic initial]: ports [0 .. initial-1] are genesis members of the
     decentralized membership protocol, the rest pending joiners admitted
-    on {!join_node}.  The centralized baseline
-    ([config.centralized_membership]) is simulator-only — it needs a
-    coordinator endpoint this runtime does not host, and {!create}
-    rejects the combination. *)
+    on {!join_node}.  The centralized coordinator baseline
+    ([Cluster.Coordinator]) is simulator-only: it needs a
+    coordinator endpoint this runtime does not host. *)
 
 type t
 

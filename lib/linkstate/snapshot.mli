@@ -82,7 +82,7 @@ val overwrite : t -> (Nodeid.t * Entry.t) list -> unit
     index forced to {!Entry.self}) inside [t] itself.  Snapshots are
     shared freely — between a sender's announcement history and every
     receiver's table in the emulation — so this is only safe on a snapshot
-    the caller exclusively owns (see {!Table.apply_delta}'s [reuse]).
+    the caller exclusively owns (see {!Table.apply_delta}).
     @raise Invalid_argument for an out-of-range id. *)
 
 val with_entries : t -> (Nodeid.t * Entry.t) list -> t

@@ -3,8 +3,7 @@ open Apor_util
 (* [exclusive] records whether this table holds the only reference to
    [snapshot].  Snapshots arriving in messages are shared objects in the
    emulation (the sender and every other receiver hold the same pointer),
-   so they are never exclusive; a copy made while applying a delta is —
-   until the caller asks to retain it. *)
+   so they are never exclusive; the copy made while applying a delta is. *)
 type row = {
   mutable snapshot : Snapshot.t;
   mutable received_at : float;
@@ -52,7 +51,7 @@ let ingest t snapshot ~epoch ~now =
       t.rows.(id) <- Some { snapshot; received_at = now; epoch; exclusive = false };
       true
 
-let apply_delta ?(reuse = false) t (delta : Wire.Delta.t) ~now =
+let apply_delta t (delta : Wire.Delta.t) ~now =
   if delta.Wire.Delta.owner < 0 || delta.Wire.Delta.owner >= t.n then `Malformed
   else if
     List.exists (fun (id, _) -> id < 0 || id >= t.n) delta.Wire.Delta.changes
@@ -65,19 +64,16 @@ let apply_delta ?(reuse = false) t (delta : Wire.Delta.t) ~now =
         else if delta.Wire.Delta.epoch > stored.epoch + 1 then `Gap
         else begin
           (* The full-row copy in [Wire.Delta.apply] is the delta path's
-             dominant cost at scale; once this table owns its private copy
-             of the row, later deltas can mutate it in place. *)
-          if reuse && stored.exclusive then begin
-            Snapshot.overwrite stored.snapshot delta.Wire.Delta.changes;
-            stored.received_at <- now;
-            stored.epoch <- delta.Wire.Delta.epoch
-          end
+             dominant cost at scale: copy a shared row once, then mutate
+             the private copy in place on every later delta. *)
+          if stored.exclusive then
+            Snapshot.overwrite stored.snapshot delta.Wire.Delta.changes
           else begin
             stored.snapshot <- Wire.Delta.apply delta stored.snapshot;
-            stored.received_at <- now;
-            stored.epoch <- delta.Wire.Delta.epoch;
-            stored.exclusive <- reuse
+            stored.exclusive <- true
           end;
+          stored.received_at <- now;
+          stored.epoch <- delta.Wire.Delta.epoch;
           `Applied stored.snapshot
         end
   end

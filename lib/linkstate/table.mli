@@ -43,7 +43,6 @@ val ingest : t -> Snapshot.t -> epoch:int -> now:float -> bool
     @raise Invalid_argument on a size mismatch. *)
 
 val apply_delta :
-  ?reuse:bool ->
   t ->
   Wire.Delta.t ->
   now:float ->
@@ -56,15 +55,14 @@ val apply_delta :
     announcements were lost): the caller should request a full snapshot.
     [`Malformed] flags out-of-range ids — network junk, never stored.
 
-    [reuse] (default [false]) allows the table, once it holds a private
-    copy of the row, to apply later deltas in place instead of re-copying
-    the whole row — the delta path's dominant cost at scale.  Only pass
-    [true] under the contract that snapshots read out of this table
-    (including the [`Applied] result) are never retained across a
-    subsequent [apply_delta], except by a reader told of every
-    [`Applied] that re-reads the row's cells (the router's round-two
-    cache): the emulation's router does exactly that when no trace
-    collector (which mirrors and keeps rows) is attached. *)
+    The first delta on a row stored by {!ingest} copies it (that snapshot
+    is shared with its sender and other receivers and is never mutated);
+    later deltas mutate the table's private copy in place, avoiding a
+    full-row copy per delta.  A snapshot read out of this table (including
+    the [`Applied] result) is therefore only valid until the next
+    [apply_delta] for its owner: a reader that keeps it must either copy
+    it or, like the router's round-two cache, be told of every
+    [`Applied] and re-read the changed cells. *)
 
 val row : t -> Nodeid.t -> Snapshot.t option
 (** Latest snapshot from node [i], regardless of age. *)

@@ -4,7 +4,7 @@ open Apor_overlay_core
 
 type membership =
   | Static
-  | Coordinator of { rtt_ms : float }
+  | Coordinator of { initial : int; rtt_ms : float }
   | Dynamic of { initial : int; rtt_ms : float }
 
 type t = {
@@ -30,23 +30,13 @@ let pad_matrix m extra ~fill =
 let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed () =
   let n = Array.length rtt_ms in
   if n < 2 then invalid_arg "Cluster.create: need at least two nodes";
-  (* A [Dynamic] overlay normally runs the decentralized quorum protocol;
-     [config.centralized_membership] swaps in the old coordinator as the
-     comparison baseline, with the same initial-members/joiners split. *)
-  let with_coordinator, coordinator_rtt =
+  let with_coordinator, coordinator_rtt, initial =
     match membership with
-    | Static -> (false, 0.)
-    | Coordinator { rtt_ms } -> (true, rtt_ms)
-    | Dynamic { rtt_ms; _ } -> (config.Config.centralized_membership, rtt_ms)
+    | Static -> (false, 0., n)
+    | Coordinator { initial; rtt_ms } -> (true, rtt_ms, initial)
+    | Dynamic { initial; rtt_ms } -> (false, rtt_ms, initial)
   in
-  let initial =
-    match membership with
-    | Static | Coordinator _ -> n
-    | Dynamic { initial; _ } ->
-        if initial < 2 || initial > n then
-          invalid_arg "Cluster.create: Dynamic initial outside [2, n]";
-        initial
-  in
+  if initial < 2 || initial > n then invalid_arg "Cluster.create: initial outside [2, n]";
   let extra = if with_coordinator then 1 else 0 in
   let rtt_full = pad_matrix rtt_ms extra ~fill:coordinator_rtt in
   let loss_full = Option.map (fun l -> pad_matrix l extra ~fill:0.) loss in
@@ -116,7 +106,6 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let role_for port =
     match membership with
     | Static | Coordinator _ -> None
-    | Dynamic _ when config.Config.centralized_membership -> None
     | Dynamic _ ->
         let module M = Apor_membership.Membership_core in
         if port < initial then Some (M.Member (M.genesis_view ~members:genesis_members))

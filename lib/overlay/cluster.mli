@@ -3,10 +3,10 @@
 
     Builds the network, engine, nodes and (optionally) the membership
     coordinator, wires message dispatch, and exposes the queries the
-    benches sample.  With [`Static] membership every node receives the
+    benches sample.  With [Static] membership every node receives the
     full member view at time zero and no coordinator exists — the
     steady-state configuration all the paper's measurements run in.  With
-    [`Coordinator] an extra node (port [n]) runs the membership service
+    [Coordinator] an extra node (port [n]) runs the membership service
     and nodes execute the join protocol.  User datagrams are not the
     nodes' business: they ride {!send_dgram} to the installed sink, and
     [Apor_dataplane.Driver] forwards them. *)
@@ -16,15 +16,16 @@ open Apor_overlay_core
 
 type membership =
   | Static
-  | Coordinator of { rtt_ms : float }
+  | Coordinator of { initial : int; rtt_ms : float }
+      (** The centralized baseline: an extra endpoint at port [n], with
+          links at [rtt_ms], runs the legacy membership coordinator, and
+          nodes register and join through it.  The first [initial] ports
+          start at {!start}, the rest on {!join_node}. *)
   | Dynamic of { initial : int; rtt_ms : float }
       (** The first [initial] ports are genesis members live at {!start};
           the remaining [n - initial] are pending joiners admitted on
           {!join_node}.  Runs the decentralized quorum-replicated protocol
-          ([lib/membership]) — no coordinator exists — unless
-          [config.centralized_membership] is set, in which case the old
-          coordinator (an extra endpoint at port [n], links at [rtt_ms])
-          serves the same split as a comparison baseline. *)
+          ([lib/membership]); no coordinator exists. *)
 
 type t
 

@@ -14,7 +14,6 @@ type t = {
   ewma_alpha : float;
   metric : Metric.t;
   membership_refresh_s : float;
-  centralized_membership : bool;
   relay_link_state : bool;
   delta_link_state : bool;
   incremental_rendezvous : bool;
@@ -33,7 +32,6 @@ let base =
     ewma_alpha = 0.5;
     metric = Metric.Latency;
     membership_refresh_s = 1800.;
-    centralized_membership = false;
     relay_link_state = false;
     delta_link_state = true;
     incremental_rendezvous = true;

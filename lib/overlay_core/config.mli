@@ -38,12 +38,6 @@ type t = {
   ewma_alpha : float;  (** weight of history in the latency EWMA *)
   metric : Metric.t;
   membership_refresh_s : float;  (** re-registration period at the MS *)
-  centralized_membership : bool;
-      (** Run membership through the legacy coordinator instead of the
-          quorum-replicated protocol ([lib/membership]) — the comparison
-          baseline.  Only consulted by runtimes wiring {e dynamic}
-          membership; static-view deployments ignore it.  Off by
-          default: the overlay has no single point of failure. *)
   relay_link_state : bool;
       (** Footnote 8 of the paper: when the direct link to a rendezvous
           server or client has failed, route the announcement or

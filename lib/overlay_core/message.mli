@@ -59,7 +59,7 @@ type t =
       (** Decentralized membership ([lib/membership]): join requests and
           acks, quorum view writes, deltas and epoch digests.  [Join],
           [Leave] and [View] above remain the centralized-coordinator
-          baseline ([Config.centralized_membership]). *)
+          baseline ([Cluster.Coordinator] membership). *)
 
 val dgram_header_bytes : int
 (** Modeled wire-header cost of a [Dgram], matching the real data-plane

@@ -618,22 +618,21 @@ let handle_link_state_delta t ~now ~view:version (delta : Wire.Delta.t) =
   | Some ctx
     when View.version ctx.view = version && delta.Wire.Delta.owner <> ctx.self -> (
       let owner = delta.Wire.Delta.owner in
-      (* Without a trace attached, only the cache retains snapshots read
-         from the table, and it is told of every change below, so the
-         table may recycle its private row copies in place; the oracle's
-         mirror requires the copy semantics. *)
-      match
-        Table.apply_delta ~reuse:(Option.is_none t.trace) ctx.table delta ~now
-      with
+      match Table.apply_delta ctx.table delta ~now with
       | `Applied snapshot -> (
           (match ctx.cache with
           | Some cache ->
               Best_hop.Cache.update_row cache snapshot
                 ~changed:(List.map fst delta.Wire.Delta.changes)
           | None -> ());
+          (* The table mutates [snapshot] in place on the owner's next
+             delta; the oracle's mirror keeps the event, so it gets a
+             copy. *)
           match t.trace with
           | Some emit ->
-              emit (Ev.Ls_ingest { node = ctx.self; owner; view = version; snapshot })
+              emit
+                (Ev.Ls_ingest
+                   { node = ctx.self; owner; view = version; snapshot = Snapshot.copy snapshot })
           | None -> ())
       | `Gap ->
           (* We lost the base this delta builds on: ask the owner for a

@@ -28,30 +28,6 @@ let traced_bytes ?t0 ?t1 tr ~n =
       end);
   bytes
 
-let recommendation_latencies ?t0 ?t1 tr =
-  let computed = Hashtbl.create 64 in
-  let last_sample = Hashtbl.create 64 in
-  Collector.fold tr ~init:[] ~f:(fun acc tv ->
-      match tv.Collector.event with
-      | Event.Rec_computed { server; client; _ } ->
-          Hashtbl.replace computed (server, client) tv.Collector.time;
-          acc
-      | Event.Rec_applied { node; server; local = false; _ }
-        when in_window ?t0 ?t1 tv.Collector.time -> (
-          match Hashtbl.find_opt computed (server, node) with
-          | Some tc ->
-              (* entries of one round-two message apply at one instant;
-                 collapse them into a single latency sample *)
-              if Hashtbl.find_opt last_sample (server, node) = Some tv.Collector.time
-              then acc
-              else begin
-                Hashtbl.replace last_sample (server, node) tv.Collector.time;
-                (tv.Collector.time -. tc) :: acc
-              end
-          | None -> acc)
-      | _ -> acc)
-  |> List.rev
-
 type failover_span = {
   node : int;
   dst : int;
@@ -60,26 +36,73 @@ type failover_span = {
   ended : float option;
 }
 
+module Acc = struct
+  type t = {
+    computed : (int * int, float) Hashtbl.t;  (* (server, client) -> computed at *)
+    last_sample : (int * int, float) Hashtbl.t;
+    mutable rec_samples : (float * float) list;  (* (applied at, latency), newest first *)
+    open_spans : (int * int, failover_span) Hashtbl.t;  (* by (node, dst) *)
+    mutable closed : failover_span list;  (* newest close first *)
+    mutable started : int;
+  }
+
+  let create () =
+    {
+      computed = Hashtbl.create 64;
+      last_sample = Hashtbl.create 64;
+      rec_samples = [];
+      open_spans = Hashtbl.create 16;
+      closed = [];
+      started = 0;
+    }
+
+  let close acc span time = acc.closed <- { span with ended = Some time } :: acc.closed
+
+  let observe acc (tv : Collector.timed) =
+    let time = tv.Collector.time in
+    match tv.Collector.event with
+    | Event.Rec_computed { server; client; _ } -> Hashtbl.replace acc.computed (server, client) time
+    | Event.Rec_applied { node; server; local = false; _ } -> (
+        match Hashtbl.find_opt acc.computed (server, node) with
+        | Some tc when Hashtbl.find_opt acc.last_sample (server, node) <> Some time ->
+            (* entries of one round-two message apply at one instant;
+               collapse them into a single latency sample *)
+            Hashtbl.replace acc.last_sample (server, node) time;
+            acc.rec_samples <- (time, time -. tc) :: acc.rec_samples
+        | Some _ | None -> ())
+    | Event.Failover_started { node; dst; server; _ } ->
+        acc.started <- acc.started + 1;
+        Option.iter (fun span -> close acc span time) (Hashtbl.find_opt acc.open_spans (node, dst));
+        Hashtbl.replace acc.open_spans (node, dst) { node; dst; server; started = time; ended = None }
+    | Event.Failover_stopped { node; dst; _ } -> (
+        match Hashtbl.find_opt acc.open_spans (node, dst) with
+        | Some span ->
+            Hashtbl.remove acc.open_spans (node, dst);
+            close acc span time
+        | None -> ())
+    | _ -> ()
+
+  let rec_latencies acc = List.rev_map snd acc.rec_samples
+
+  let failover_durations acc =
+    List.rev_map (fun span -> Option.get span.ended -. span.started) acc.closed
+
+  let failovers_started acc = acc.started
+end
+
+let acc_of tr =
+  let acc = Acc.create () in
+  Collector.iter tr (Acc.observe acc);
+  acc
+
+let recommendation_latencies ?t0 ?t1 tr =
+  List.fold_left
+    (fun l (time, latency) -> if in_window ?t0 ?t1 time then latency :: l else l)
+    [] (acc_of tr).Acc.rec_samples
+
 let failover_spans ?(t0 = neg_infinity) ?(t1 = infinity) tr =
-  let open_spans = Hashtbl.create 16 in
-  let closed = ref [] in
-  Collector.iter tr (fun tv ->
-      match tv.Collector.event with
-      | Event.Failover_started { node; dst; server; _ } ->
-          (match Hashtbl.find_opt open_spans (node, dst) with
-          | Some span -> closed := { span with ended = Some tv.Collector.time } :: !closed
-          | None -> ());
-          Hashtbl.replace open_spans (node, dst)
-            { node; dst; server; started = tv.Collector.time; ended = None }
-      | Event.Failover_stopped { node; dst; _ } -> (
-          match Hashtbl.find_opt open_spans (node, dst) with
-          | Some span ->
-              Hashtbl.remove open_spans (node, dst);
-              closed := { span with ended = Some tv.Collector.time } :: !closed
-          | None -> ())
-      | _ -> ());
-  let all = Hashtbl.fold (fun _ span acc -> span :: acc) open_spans !closed in
-  all
+  let acc = acc_of tr in
+  Hashtbl.fold (fun _ span l -> span :: l) acc.Acc.open_spans acc.Acc.closed
   |> List.filter (fun span ->
          span.started <= t1
          && match span.ended with None -> true | Some e -> e >= t0)

@@ -1,7 +1,8 @@
 (** Mutable binary min-heap keyed by floats.
 
     The simulator's reference event queue (the hot path runs on
-    {!Calqueue}, which reproduces this ordering exactly): [pop] returns
+    {!Calqueue}, which reproduces this ordering exactly) and the UDP
+    runtime's timer queue: [pop] returns
     elements in non-decreasing
     key order; ties are broken by insertion order so that events scheduled
     for the same instant run first-scheduled-first — a property the protocol

@@ -34,12 +34,6 @@ let exponential t ~mean =
   let u = 1.0 -. Random.State.float t 1.0 in
   -.mean *. log u
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then
-    invalid_arg "Rng.pareto: shape and scale must be positive";
-  let u = 1.0 -. Random.State.float t 1.0 in
-  scale *. (u ** (-1.0 /. shape))
-
 let gaussian t ~mean ~stddev =
   let u1 = 1.0 -. Random.State.float t 1.0 in
   let u2 = Random.State.float t 1.0 in

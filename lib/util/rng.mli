@@ -32,10 +32,6 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean.
     @raise Invalid_argument if [mean <= 0]. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto draw: [scale * u^(-1/shape)] for uniform [u]; heavy-tailed, used
-    for the poorly-connected-node badness mixture. *)
-
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Box–Muller normal draw. *)
 

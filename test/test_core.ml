@@ -137,9 +137,10 @@ let random_entry rng =
     Entry.make ~latency_ms ~loss ~alive:true
 
 (* Drive the cache the way a rendezvous server's router does, through a
-   real [Table]: full ingests ([set_row]), deltas applied in place
-   ([~reuse:true]) or by copy ([update_row] with the changed ids, small
-   batches repaired and large ones spilled), the server's own row replaced
+   real [Table]: full ingests ([set_row]), deltas applied by copy (the
+   first on an ingested row) or in place (every later one) and notified
+   by [update_row] with the changed ids (small batches repaired, large
+   ones spilled), the server's own row replaced
    every "tick" and notified by diff, drops, and more owners than the
    initial slot width so the pair arrays grow mid-sequence.  Every answer
    must equal the float scan over [Snapshot.cost_vector] of the table's
@@ -183,14 +184,14 @@ let cache_matches_scan_property =
         if Table.ingest table snap ~epoch:(clock ()) ~now:!now then
           Best_hop.Cache.set_row cache snap
       in
-      let delta ~large ~reuse owner =
+      let delta ~large owner =
         match Table.row_epoch table owner with
         | Some stored when owner <> server ->
             let count = if large then max 9 ((n / 8) + 1) else 1 + Rng.int rng 3 in
             let changes = List.init count (fun _ -> (Rng.int rng n, random_entry rng)) in
             ignore (clock ());
             let d = { Wire.Delta.owner; epoch = stored + 1; changes } in
-            (match Table.apply_delta ~reuse table d ~now:!now with
+            (match Table.apply_delta table d ~now:!now with
             | `Applied snap ->
                 Best_hop.Cache.update_row cache snap ~changed:(List.map fst changes)
             | `Stale | `Gap | `Malformed -> QCheck.Test.fail_report "delta not applied")
@@ -226,19 +227,19 @@ let cache_matches_scan_property =
       done;
       check_all ();
       (* Every pair is now cached: the first two deltas must go through the
-         incremental repair, in place and by copy. *)
+         incremental repair, by copy and in place. *)
       let client = (server + 1) mod n in
-      delta ~large:false ~reuse:true client;
+      delta ~large:false client;
       check_all ();
-      delta ~large:false ~reuse:false client;
+      delta ~large:false client;
       check_all ();
       for _step = 1 to 30 do
         let owner = Rng.int rng n in
         (match Rng.int rng 10 with
         | 0 | 1 -> own_tick ()
         | 2 -> if owner <> server then ingest owner
-        | 3 | 4 | 5 -> delta ~large:false ~reuse:(Rng.bool rng) owner
-        | 6 -> delta ~large:true ~reuse:(Rng.bool rng) owner
+        | 3 | 4 | 5 -> delta ~large:false owner
+        | 6 -> delta ~large:true owner
         | 7 when owner <> server ->
             Table.drop_row table owner;
             Best_hop.Cache.drop_row cache owner

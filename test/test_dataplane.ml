@@ -324,7 +324,8 @@ module Cluster = Apor_overlay.Cluster
 module Collector = Apor_trace.Collector
 module Ev = Apor_trace.Event
 module Flows = Apor_dataplane.Flows
-module Sim_driver = Apor_dataplane.Sim_driver
+module Driver = Apor_dataplane.Driver
+module Host = Apor_dataplane.Host
 
 let closed_spec ~window ~think_s =
   {
@@ -362,16 +363,16 @@ let flat_closed_loop ~rtt_ms ~loss ~window =
   Cluster.start cluster;
   let metrics = Metrics.create ~window_s:10. ~t0:30. in
   let driver =
-    Sim_driver.attach ~cluster ~spec:(closed_spec ~window ~think_s:0.001) ~seed:11 ~metrics
-      ~trace ~start_at:30. ()
+    Driver.attach (Host.of_cluster cluster) ~spec:(closed_spec ~window ~think_s:0.001) ~seed:11
+      ~metrics ~trace ~start_at:30. ()
   in
   Cluster.run_until cluster 59.5;
   {
     sends = List.rev !sends;
     dgram_delivered = !dgram_delivered;
     data_arrivals = !data_arrivals;
-    driver_sent = Sim_driver.sent driver;
-    driver_delivered = Sim_driver.delivered driver;
+    driver_sent = Driver.sent driver;
+    driver_delivered = Driver.delivered driver;
     metrics_delivered = Metrics.delivered metrics;
   }
 
@@ -431,9 +432,9 @@ let test_closed_loop_pending_bounded () =
     if traffic then begin
       let metrics = Metrics.create ~window_s:10. ~t0:30. in
       ignore
-        (Sim_driver.attach ~cluster ~spec:(closed_spec ~window ~think_s:0.001) ~seed:4
-           ~metrics ~start_at:30. ()
-          : Sim_driver.t)
+        (Driver.attach (Host.of_cluster cluster) ~spec:(closed_spec ~window ~think_s:0.001)
+           ~seed:4 ~metrics ~start_at:30. ()
+          : Driver.t)
     end;
     Cluster.run_until cluster 60.;
     (Cluster.engine_stats cluster).Apor_sim.Engine.max_pending
@@ -444,9 +445,6 @@ let test_closed_loop_pending_bounded () =
       (3 * window)
 
 (* --- the driver over a fake host ------------------------------------------ *)
-
-module Host = Apor_dataplane.Host
-module Driver = Apor_dataplane.Driver
 
 (* A host with a hand-driven clock: every timer fires [lateness] seconds
    after it is due, sends are recorded instead of delivered, and arrivals

@@ -482,6 +482,32 @@ let test_apply_delta_statuses () =
   check_bool "replay -> stale" true
     (Table.apply_delta t (delta ~epoch:1 [ (1, entry) ]) ~now:3. = `Stale)
 
+(* A full snapshot is shared with its sender (and, in the emulation, with
+   every other receiver), so the first delta on its row must copy it; the
+   later ones mutate that private copy in place. *)
+let test_apply_delta_keeps_ingested_snapshot () =
+  let rng = Apor_util.Rng.make ~seed:11 in
+  let t = Table.create ~n:6 ~owner:0 in
+  let shared = random_snapshot ~rng ~owner:2 ~n:6 in
+  let original = Snapshot.copy shared in
+  ignore (Table.ingest t shared ~epoch:0 ~now:0. : bool);
+  let apply epoch =
+    let entry = Entry.make ~latency_ms:(float_of_int (100 * epoch)) ~loss:0. ~alive:true in
+    match
+      Table.apply_delta t
+        { Wire.Delta.owner = 2; epoch; changes = [ (1, entry); (3, entry) ] }
+        ~now:(float_of_int epoch)
+    with
+    | `Applied s -> s
+    | _ -> Alcotest.fail "next epoch must apply"
+  in
+  let first = apply 1 in
+  let later = List.map apply [ 2; 3 ] in
+  check_bool "ingested snapshot unchanged" true (Snapshot.equal shared original);
+  check_bool "first delta copies" false (first == shared);
+  check_bool "later deltas in place" true (List.for_all (fun s -> s == first) later);
+  check_float "latest entry" 300. (Snapshot.cost first Metric.Latency 3)
+
 let test_delta_smaller_than_snapshot_when_sparse () =
   let rng = Apor_util.Rng.make ~seed:3 in
   let n = 100 in
@@ -614,6 +640,8 @@ let () =
       ( "delta",
         [
           Alcotest.test_case "apply_delta statuses" `Quick test_apply_delta_statuses;
+          Alcotest.test_case "ingested snapshot never mutated" `Quick
+            test_apply_delta_keeps_ingested_snapshot;
           Alcotest.test_case "sparse delta is small" `Quick
             test_delta_smaller_than_snapshot_when_sparse;
           qcheck snapshot_diff_roundtrip;

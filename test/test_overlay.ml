@@ -274,7 +274,7 @@ let test_join_protocol_forms_overlay () =
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   let c =
     Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:31 ()
+      ~membership:(Cluster.Coordinator { initial = n; rtt_ms = 80. }) ~seed:31 ()
   in
   Cluster.start c;
   Cluster.run_until c 240.;
@@ -295,7 +295,7 @@ let test_views_are_consistent_after_join () =
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   let c =
     Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:32 ()
+      ~membership:(Cluster.Coordinator { initial = n; rtt_ms = 80. }) ~seed:32 ()
   in
   Cluster.start c;
   Cluster.run_until c 240.;
@@ -327,7 +327,7 @@ let coordinator_cluster ~n ~seed =
   let rtt = Array.make_matrix n n 50. in
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
   Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-    ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed ()
+    ~membership:(Cluster.Coordinator { initial = n; rtt_ms = 80. }) ~seed ()
 
 let test_leave_shrinks_views_and_routes_survive () =
   let n = 8 in
@@ -405,7 +405,7 @@ let test_coordinator_expires_silent_member () =
   let config = { Config.quorum_default with Config.membership_refresh_s = 120. } in
   let c =
     Cluster.create ~config ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:83 ()
+      ~membership:(Cluster.Coordinator { initial = n; rtt_ms = 80. }) ~seed:83 ()
   in
   Cluster.start c;
   Cluster.run_until c 100.;

@@ -336,14 +336,28 @@ let test_regression_25_nodes_planetlab () =
       | None -> ())
     (Query.failover_spans tr)
 
+(* The 25-node, 900 s run with PlanetLab link failures shared by the live
+   tests below: links fail and recover throughout, so rows change every
+   routing interval and most announcements travel as deltas. *)
+let planetlab_25 ?(config = Config.quorum_default) ?trace () =
+  let world = Internet.generate ~seed:42 ~n:25 () in
+  let c =
+    Cluster.create ~config ~rtt_ms:world.Internet.rtt_ms ~loss:world.Internet.loss ?trace
+      ~seed:42 ()
+  in
+  let (_ : Failures.t) =
+    Failures.install ~engine:(Cluster.engine c) ~profile:Failures.planetlab ~seed:42 ()
+  in
+  Cluster.start c;
+  Cluster.run_until c 900.;
+  c
+
 let test_incremental_rendezvous_identical () =
   (* The per-pair cache is a pure optimization: over a failure-injected
      900 s run, the recommendation streams of a cached and an uncached
      cluster must match event for event, and the cached run must stay
      violation-free under the oracle. *)
-  let n = 25 in
   let run config =
-    let world = Internet.generate ~seed:42 ~n () in
     let tr = Collector.create () in
     let recs = ref [] in
     Collector.subscribe tr (fun tv ->
@@ -353,15 +367,7 @@ let test_incremental_rendezvous_identical () =
         | _ -> ());
     let oracle = Oracle.create ~metric ~staleness_s () in
     Oracle.attach oracle tr;
-    let c =
-      Cluster.create ~config ~rtt_ms:world.Internet.rtt_ms ~loss:world.Internet.loss
-        ~trace:tr ~seed:42 ()
-    in
-    let (_ : Failures.t) =
-      Failures.install ~engine:(Cluster.engine c) ~profile:Failures.planetlab ~seed:42 ()
-    in
-    Cluster.start c;
-    Cluster.run_until c 900.;
+    ignore (planetlab_25 ~config ~trace:tr () : Cluster.t);
     check_int "zero violations" 0 (Oracle.violation_count oracle);
     List.rev !recs
   in
@@ -370,22 +376,58 @@ let test_incremental_rendezvous_identical () =
   check_bool "streams non-trivial" true (List.length cached > 1000);
   check_bool "cached = uncached recommendation streams" true (cached = uncached)
 
+(* Follows the [Ls_ingest] events whose row a delta built and counts
+   them, and how many of their snapshots had changed by the time the same
+   owner's next delta reached the same node.  A full announcement carries
+   the very snapshot its owner installed as its own row; a delta-built
+   row is never one of those. *)
+let watch_delta_ingests tr =
+  let own = Hashtbl.create 64 (* owner -> its own-row snapshots *) in
+  let last = Hashtbl.create 256 (* (node, owner) -> snapshot, copy at ingest *) in
+  let deltas = ref 0 and changed = ref 0 in
+  Collector.subscribe tr (fun tv ->
+      match tv.Collector.event with
+      | Event.Ls_ingest { node; owner; snapshot; _ } when node = owner ->
+          Hashtbl.add own owner snapshot
+      | Event.Ls_ingest { node; owner; snapshot; _ }
+        when not (List.memq snapshot (Hashtbl.find_all own owner)) ->
+          incr deltas;
+          (match Hashtbl.find_opt last (node, owner) with
+          | Some (kept, at_ingest) -> if not (Snapshot.equal kept at_ingest) then incr changed
+          | None -> ());
+          Hashtbl.replace last (node, owner) (snapshot, Snapshot.copy snapshot)
+      | _ -> ());
+  (deltas, changed)
+
+let test_delta_ingest_snapshots_kept () =
+  (* The table mutates its private rows in place, traced or not; the
+     snapshot an [Ls_ingest] hands the oracle's mirror must not change
+     under it when the owner's next delta lands. *)
+  let tr = Collector.create () in
+  let deltas, changed = watch_delta_ingests tr in
+  ignore (planetlab_25 ~trace:tr () : Cluster.t);
+  check_bool "deltas ingested" true (!deltas > 1000);
+  check_int "delta snapshots changed after ingest" 0 !changed
+
 let test_tracing_disabled_identical_routes () =
   (* a traced run and an untraced run with the same seed must agree —
-     tracing observes, never perturbs *)
-  let n = 9 in
-  let run trace =
-    let c =
-      Cluster.create ~config:Config.quorum_default ~rtt_ms:(flat_rtt n) ?trace ~seed:7 ()
-    in
-    Cluster.start c;
-    Cluster.run_until c 200.;
-    List.init n (fun src ->
-        List.init n (fun dst -> if src = dst then None else Cluster.best_hop c ~src ~dst))
+     tracing observes, never perturbs — on a run where deltas flow, so
+     both go through the same in-place table path *)
+  let n = 25 in
+  let observe c =
+    ( List.init n (fun src ->
+          List.init n (fun dst -> if src = dst then None else Cluster.best_hop c ~src ~dst)),
+      Array.init n (fun node ->
+          Traffic.bytes_in_range (Cluster.traffic c) ~cls:Traffic.Routing ~node ~t0:0. ~t1:900.)
+    )
   in
-  let untraced = run None in
-  let traced = run (Some (Collector.create ())) in
-  check_bool "identical routing state" true (untraced = traced)
+  let tr = Collector.create () in
+  let deltas, _ = watch_delta_ingests tr in
+  let traced = observe (planetlab_25 ~trace:tr ()) in
+  check_bool "deltas ingested" true (!deltas > 1000);
+  let untraced = observe (planetlab_25 ()) in
+  check_bool "identical best hops" true (fst untraced = fst traced);
+  Alcotest.(check (array int)) "identical routing bytes per node" (snd untraced) (snd traced)
 
 let test_scheduler_determinism () =
   (* The calendar-queue engine must reproduce the reference binary heap's
@@ -499,6 +541,8 @@ let () =
             test_incremental_rendezvous_identical;
           Alcotest.test_case "tracing does not perturb" `Slow
             test_tracing_disabled_identical_routes;
+          Alcotest.test_case "delta ingest snapshots kept" `Slow
+            test_delta_ingest_snapshots_kept;
           Alcotest.test_case "calendar = binary-heap schedulers" `Slow
             test_scheduler_determinism;
           Alcotest.test_case "query matches engine accounting" `Slow
