@@ -23,7 +23,7 @@ golden() {
 }
 
 # Bench smoke: the quick scaling sweep on 2 domains exercises the
-# calendar-queue engine, the parallel sweep runner and the JSON writer
+# event engine, the parallel sweep runner and the JSON writer
 # end to end (the oracle run inside it must report zero violations).
 # Its n=49 and n=144 rows must then match BENCH_core.json exactly on the
 # fields a seed fixes (routing bytes, recommendation latency, events,

@@ -6,52 +6,57 @@ module Hist = struct
     bins_per_decade : float;
     counts : int array;
     mutable total : int;
-    mutable under : int; (* clamped below lo: counted in percentiles as lo *)
+    mutable under : int; (* below lo: read from [below], or as lo without one *)
+    below : t option; (* finer histogram for the samples under lo *)
   }
 
-  let create ~lo ~decades ~bins_per_decade =
+  let create ?below ~lo ~decades ~bins_per_decade () =
     {
       lo;
       bins_per_decade = float_of_int bins_per_decade;
       counts = Array.make (decades * bins_per_decade) 0;
       total = 0;
       under = 0;
+      below;
     }
 
-  let add t v =
+  let rec add t v =
     t.total <- t.total + 1;
-    if v < t.lo then t.under <- t.under + 1
+    if v < t.lo then begin
+      t.under <- t.under + 1;
+      Option.iter (fun b -> add b v) t.below
+    end
     else begin
       let i = int_of_float (Float.log10 (v /. t.lo) *. t.bins_per_decade) in
       let i = min i (Array.length t.counts - 1) in
       t.counts.(i) <- t.counts.(i) + 1
     end
 
-  (* Geometric midpoint of the bin holding the p-th percentile sample. *)
+  (* Geometric midpoint of the bin holding the sample of rank [rank]; the
+     [under] samples are the lowest ranks. *)
+  let rec at_rank t rank =
+    if rank <= t.under then
+      match t.below with Some b -> at_rank b rank | None -> Some t.lo
+    else begin
+      let seen = ref t.under in
+      let result = ref None in
+      (try
+         Array.iteri
+           (fun i c ->
+             seen := !seen + c;
+             if !seen >= rank then begin
+               result :=
+                 Some (t.lo *. Float.pow 10. ((float_of_int i +. 0.5) /. t.bins_per_decade));
+               raise Exit
+             end)
+           t.counts
+       with Exit -> ());
+      !result
+    end
+
   let percentile t p =
     if t.total = 0 then None
-    else begin
-      let rank =
-        max 1 (int_of_float (Float.round (p /. 100. *. float_of_int t.total)))
-      in
-      if rank <= t.under then Some t.lo
-      else begin
-        let seen = ref t.under in
-        let result = ref None in
-        (try
-           Array.iteri
-             (fun i c ->
-               seen := !seen + c;
-               if !seen >= rank then begin
-                 result :=
-                   Some (t.lo *. Float.pow 10. ((float_of_int i +. 0.5) /. t.bins_per_decade));
-                 raise Exit
-               end)
-             t.counts
-         with Exit -> ());
-        !result
-      end
-    end
+    else at_rank t (max 1 (int_of_float (Float.round (p /. 100. *. float_of_int t.total))))
 end
 
 type t = {
@@ -82,8 +87,13 @@ let create ~window_s ~t0 =
     payload_bytes = 0;
     direct = 0;
     relayed = 0;
-    latency = Hist.create ~lo:1e-4 ~decades:7 ~bins_per_decade:100;
-    stretch = Hist.create ~lo:1.0 ~decades:3 ~bins_per_decade:100;
+    (* Loopback latencies fall under 100 us: they get their own three
+       decades of bins rather than all reading as 100 us. *)
+    latency =
+      Hist.create
+        ~below:(Hist.create ~lo:1e-7 ~decades:3 ~bins_per_decade:100 ())
+        ~lo:1e-4 ~decades:7 ~bins_per_decade:100 ();
+    stretch = Hist.create ~lo:1.0 ~decades:3 ~bins_per_decade:100 ();
   }
 
 let window_of t time = max 0 (int_of_float ((time -. t.t0) /. t.window_s))

@@ -49,7 +49,9 @@ val goodput_kbps : t -> t1:float -> float
 
 val latency_percentile : t -> float -> float option
 (** [latency_percentile t p] for [p] in [0, 100]: approximate (binned)
-    one-way latency percentile in seconds. *)
+    one-way latency percentile in seconds, the geometric midpoint of a
+    bin 1/100 of a decade wide between 100 ns and 1000 s (samples under
+    100 ns read as 100 ns). *)
 
 val stretch_percentile : t -> float -> float option
 val stretch_samples : t -> int

@@ -338,6 +338,8 @@ let wire_core t ep =
 let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed () =
   if n < 2 then invalid_arg "Udp_runtime.create: need at least two nodes";
   if n > 0xFFFF then invalid_arg "Udp_runtime.create: n out of range";
+  if base_port < 1 || base_port + n - 1 > 0xFFFF then
+    invalid_arg "Udp_runtime.create: ports outside [1, 65535]";
   (match membership with
   | `Static -> ()
   | `Dynamic initial ->

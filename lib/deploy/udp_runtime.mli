@@ -87,7 +87,9 @@ val create :
     events plus every node's protocol events — the same stream shape the
     simulator produces, so {!Apor_trace.Oracle} and [Trace_report] work
     unchanged.  @raise Unix.Unix_error when sockets are unavailable (all
-    already-bound sockets are closed first). *)
+    already-bound sockets are closed first).
+    @raise Invalid_argument before binding anything when [base_port < 1]
+    or [base_port + n - 1 > 65535]. *)
 
 val start : t -> unit
 

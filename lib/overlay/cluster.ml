@@ -27,7 +27,7 @@ let pad_matrix m extra ~fill =
           else if i < n && j < n then m.(i).(j)
           else fill))
 
-let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed () =
+let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ~seed () =
   let n = Array.length rtt_ms in
   if n < 2 then invalid_arg "Cluster.create: need at least two nodes";
   let with_coordinator, coordinator_rtt, initial =
@@ -41,7 +41,7 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let rtt_full = pad_matrix rtt_ms extra ~fill:coordinator_rtt in
   let loss_full = Option.map (fun l -> pad_matrix l extra ~fill:0.) loss in
   let network = Network.create ~rtt_ms:rtt_full ?loss:loss_full ~seed () in
-  let engine = Engine.create ?scheduler ~network () in
+  let engine = Engine.create ~network () in
   (* Point the collector at the virtual clock and mirror every packet's
      fate into the trace before wiring anything that can send. *)
   (match trace with

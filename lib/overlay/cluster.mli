@@ -35,7 +35,6 @@ val create :
   ?loss:float array array ->
   ?membership:membership ->
   ?trace:Apor_trace.Collector.t ->
-  ?scheduler:Engine.scheduler ->
   seed:int ->
   unit ->
   t
@@ -44,10 +43,7 @@ val create :
     loss.  A [trace] collector is pointed at the engine's virtual clock and
     receives every engine event (send/deliver/drop) plus every node's
     protocol events; attach sinks, subscribers or an
-    {!Apor_trace.Oracle} to it before calling {!start}.  [scheduler]
-    selects the engine's queue backend (default [Calendar]); both backends
-    produce identical event orders, so this only matters for determinism
-    regressions and perf comparisons.
+    {!Apor_trace.Oracle} to it before calling {!start}.
     @raise Invalid_argument on malformed matrices. *)
 
 val n : t -> int

@@ -13,10 +13,6 @@ type 'msg event =
   | Deliver of { cls : Traffic.cls; src : int; dst : int; bytes : int; msg : 'msg }
   | Timer of (unit -> unit)
 
-type scheduler = Calendar | Binary_heap
-
-type 'msg queue = Cal of 'msg event Calqueue.t | Bin of 'msg event Heap.t
-
 type stats = {
   events : int;
   sends : int;
@@ -28,7 +24,7 @@ type stats = {
 type 'msg t = {
   network : Network.t;
   traffic : Traffic.t;
-  queue : 'msg queue;
+  queue : 'msg event Heap.t;
   mutable clock : float;
   mutable handler : (dst:int -> src:int -> 'msg -> unit) option;
   mutable tap : tap option;
@@ -39,14 +35,11 @@ type 'msg t = {
   mutable max_pending : int;
 }
 
-let create ?(scheduler = Calendar) ~network () =
+let create ~network () =
   {
     network;
     traffic = Traffic.create ~n:(Network.size network);
-    queue =
-      (match scheduler with
-      | Calendar -> Cal (Calqueue.create ())
-      | Binary_heap -> Bin (Heap.create ()));
+    queue = Heap.create ();
     clock = 0.;
     handler = None;
     tap = None;
@@ -63,18 +56,17 @@ let now t = t.clock
 let set_handler t f = t.handler <- Some f
 let set_tap t tap = t.tap <- tap
 
-let pending t =
-  match t.queue with Cal q -> Calqueue.length q | Bin q -> Heap.length q
+let pending t = Heap.length t.queue
 
-(* Per event: the queue entry (record, boxed key, array slot), then a
+(* Per event: its three heap slots (key, sequence number, value), then a
    delivery's inline record and all its message reaches, or a timer's
    constructor and closure block. *)
 let queue_words t =
   let words acc = function
-    | Deliver { msg; _ } -> acc + 7 + 6 + Obj.reachable_words (Obj.repr msg)
-    | Timer f -> acc + 7 + 2 + Obj.size (Obj.repr f) + 1
+    | Deliver { msg; _ } -> acc + 3 + 6 + Obj.reachable_words (Obj.repr msg)
+    | Timer f -> acc + 3 + 2 + Obj.size (Obj.repr f) + 1
   in
-  match t.queue with Cal q -> Calqueue.fold words 0 q | Bin q -> Heap.fold words 0 q
+  Heap.fold words 0 t.queue
 
 let stats t =
   {
@@ -86,14 +78,9 @@ let stats t =
   }
 
 let q_push t ~key ev =
-  (match t.queue with
-  | Cal q -> Calqueue.push q ~key ev
-  | Bin q -> Heap.push q ~key ev);
+  Heap.push t.queue ~key ev;
   let p = pending t in
   if p > t.max_pending then t.max_pending <- p
-
-let q_pop t = match t.queue with Cal q -> Calqueue.pop q | Bin q -> Heap.pop q
-let q_peek t = match t.queue with Cal q -> Calqueue.peek q | Bin q -> Heap.peek q
 
 let schedule t ~delay f =
   if Float.is_nan delay || delay < 0. then invalid_arg "Engine.schedule: bad delay";
@@ -127,7 +114,7 @@ let exec t = function
       deliver t ~dst ~src msg
 
 let step t =
-  match q_pop t with
+  match Heap.pop t.queue with
   | None -> false
   | Some (time, ev) ->
       t.clock <- Float.max t.clock time;
@@ -137,7 +124,7 @@ let step t =
 
 let run_until t horizon =
   let rec go () =
-    match q_peek t with
+    match Heap.peek t.queue with
     | Some (time, _) when time <= horizon ->
         ignore (step t);
         go ()

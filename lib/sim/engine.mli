@@ -9,20 +9,14 @@
     Message deliveries are stored as a typed record — class, endpoints,
     size and payload inline — so the [send] hot path allocates no closure;
     generic [(unit -> unit)] timers remain for node ticks.  The queue
-    itself is a calendar queue ({!Apor_util.Calqueue}) by default, with the
-    reference binary heap selectable for determinism regressions; both
-    produce identical event orders.
+    itself is an {!Apor_util.Heap}, ordered by (time, scheduling order).
 
     The engine is polymorphic in the protocol's message type: the overlay
     instantiates ['msg] with its own variant. *)
 
 type 'msg t
 
-type scheduler =
-  | Calendar  (** Calendar queue / timing wheel — the default. *)
-  | Binary_heap  (** Reference {!Apor_util.Heap}; same ordering, slower. *)
-
-val create : ?scheduler:scheduler -> network:Network.t -> unit -> 'msg t
+val create : network:Network.t -> unit -> 'msg t
 (** Fresh engine at time 0 with no handler installed. *)
 
 val network : 'msg t -> Network.t
@@ -75,8 +69,8 @@ val pending : 'msg t -> int
 (** Number of queued events. *)
 
 val queue_words : 'msg t -> int
-(** Words held by the pending events: per event its queue entry (7 words:
-    entry record, boxed key, array slot), then a delivery's record and
+(** Words held by the pending events: per event its three heap array
+    slots (key, sequence number, value), then a delivery's record and
     every word its message reaches (a payload shared with a node's state
     counts again here), or a timer's constructor and closure block, not
     what the closure captures.  Walks the whole queue: for memory probes,

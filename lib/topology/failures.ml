@@ -25,55 +25,18 @@ let planetlab =
   }
 
 (* Each link with a positive failure rate runs an up/down renewal process.
-   Its next transition is due at [due.(l)] and [up] holds its phase; the
-   links sit in a binary min-heap on (due, arm order), and one engine
-   wakeup is armed at the earliest due time.  A wakeup processes every
-   due link in key order, the order in which one engine timer per link
-   would have fired, so every draw happens in the same order as it would
-   have there. *)
+   [up] holds its phase, and the links sit in a heap keyed by the time of
+   their next transition, whose insertion order is their arm order; one
+   engine wakeup is armed at the earliest due time.  A wakeup pops every
+   due link in (time, arm order), the order in which one engine timer per
+   link would have fired, so every draw happens in the same order as it
+   would have there, and pushes each back at its next transition. *)
 type t = {
   flaky : bool array;
   ends : int array; (* link -> i * size + j, i < j *)
-  due : float array; (* link -> time of its next transition *)
   up : Bytes.t; (* link -> '\001' while up *)
-  order : int array; (* link -> arm order of [due] *)
-  heap : int array; (* links, min-heap on (due, order); every link is in it *)
-  mutable arms : int;
+  due : int Heap.t; (* links keyed by their next transition *)
 }
-
-let[@inline] before t a b =
-  let da = Array.unsafe_get t.due a and db = Array.unsafe_get t.due b in
-  da < db || (da = db && t.order.(a) < t.order.(b))
-
-let rec sift_up t i l =
-  if i = 0 then t.heap.(0) <- l
-  else
-    let parent = (i - 1) / 2 in
-    let q = t.heap.(parent) in
-    if before t l q then begin
-      t.heap.(i) <- q;
-      sift_up t parent l
-    end
-    else t.heap.(i) <- l
-
-let rec sift_down t i l =
-  let len = Array.length t.heap in
-  let c = (2 * i) + 1 in
-  if c >= len then t.heap.(i) <- l
-  else
-    let c = if c + 1 < len && before t t.heap.(c + 1) t.heap.(c) then c + 1 else c in
-    let q = t.heap.(c) in
-    if before t q l then begin
-      t.heap.(i) <- q;
-      sift_down t c l
-    end
-    else t.heap.(i) <- l
-
-(* Set link [l]'s next transition; the caller restores the heap. *)
-let arm t l ~at =
-  t.due.(l) <- at;
-  t.order.(l) <- t.arms;
-  t.arms <- t.arms + 1
 
 let install ~engine ?(first_node = 0) ?last_node ~profile ~seed () =
   let network = Engine.network engine in
@@ -99,15 +62,7 @@ let install ~engine ?(first_node = 0) ?last_node ~profile ~seed () =
     done
   done;
   let t =
-    {
-      flaky;
-      ends = Array.make !links 0;
-      due = Array.make !links 0.;
-      up = Bytes.make !links '\001';
-      order = Array.make !links 0;
-      heap = Array.make !links 0;
-      arms = 0;
-    }
+    { flaky; ends = Array.make !links 0; up = Bytes.make !links '\001'; due = Heap.create () }
   in
   let now = Engine.now engine in
   let l = ref 0 in
@@ -116,33 +71,32 @@ let install ~engine ?(first_node = 0) ?last_node ~profile ~seed () =
       let rate = rate i j in
       if rate > 0. then begin
         t.ends.(!l) <- (i * size) + j;
-        arm t !l ~at:(now +. Rng.exponential rng ~mean:(1. /. rate));
-        sift_up t !l !l;
+        Heap.push t.due ~key:(now +. Rng.exponential rng ~mean:(1. /. rate)) !l;
         incr l
       end
     done
   done;
   let rec wakeup () =
-    let now = Engine.now engine in
-    while t.due.(t.heap.(0)) <= now do
-      let l = t.heap.(0) in
-      let i = t.ends.(l) / size and j = t.ends.(l) mod size in
-      let at = t.due.(l) in
-      if Bytes.get t.up l <> '\000' then begin
-        Network.set_link_up network i j false;
-        Bytes.set t.up l '\000';
-        arm t l ~at:(at +. Rng.exponential rng ~mean:profile.mean_downtime_s)
-      end
-      else begin
-        Network.set_link_up network i j true;
-        Bytes.set t.up l '\001';
-        arm t l ~at:(at +. Rng.exponential rng ~mean:(1. /. rate i j))
-      end;
-      sift_down t 0 l
-    done;
-    Engine.schedule_at engine ~time:t.due.(t.heap.(0)) wakeup
+    match Heap.peek t.due with
+    | Some (at, l) when at <= Engine.now engine ->
+        ignore (Heap.pop t.due);
+        let i = t.ends.(l) / size and j = t.ends.(l) mod size in
+        if Bytes.get t.up l <> '\000' then begin
+          Network.set_link_up network i j false;
+          Bytes.set t.up l '\000';
+          Heap.push t.due ~key:(at +. Rng.exponential rng ~mean:profile.mean_downtime_s) l
+        end
+        else begin
+          Network.set_link_up network i j true;
+          Bytes.set t.up l '\001';
+          Heap.push t.due ~key:(at +. Rng.exponential rng ~mean:(1. /. rate i j)) l
+        end;
+        wakeup ()
+    | Some _ | None -> arm ()
+  and arm () =
+    Option.iter (fun (at, _) -> Engine.schedule_at engine ~time:at wakeup) (Heap.peek t.due)
   in
-  if !links > 0 then Engine.schedule_at engine ~time:t.due.(t.heap.(0)) wakeup;
+  arm ();
   t
 
 let flaky_nodes t =

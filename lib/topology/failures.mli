@@ -7,11 +7,10 @@
     much higher rate, producing Figure 8's shape: most nodes see a handful
     of concurrent link failures on average, a few see dozens.
 
-    The model keeps each link's next transition time and phase in flat
-    arrays with a min-heap of links on (due time, arm order), and keeps
-    one engine wakeup pending, at the earliest due time: about four words
-    and a byte per link, and never more than one event in the engine's
-    queue.  A wakeup processes every due link in key order, so each
+    The model keeps each link's phase in a byte array and the links in an
+    {!Apor_util.Heap} on (due time, arm order), and keeps one engine
+    wakeup pending, at the earliest due time: about four words and a byte
+    per link, and never more than one event in the engine's queue.  A wakeup processes every due link in key order, so each
     exponential draw happens in the order that one engine timer per link
     would give, and runs are identical to such a model's. *)
 

@@ -1,12 +1,13 @@
 (** Mutable binary min-heap keyed by floats.
 
-    The simulator's reference event queue (the hot path runs on
-    {!Calqueue}, which reproduces this ordering exactly) and the UDP
-    runtime's timer queue: [pop] returns
-    elements in non-decreasing
-    key order; ties are broken by insertion order so that events scheduled
-    for the same instant run first-scheduled-first — a property the protocol
-    state machines rely on for determinism. *)
+    The simulator's event queue, the UDP runtime's timer queue and the
+    failure model's link schedule: [pop] returns elements in
+    non-decreasing key order; ties are broken by insertion order so that
+    events scheduled for the same instant run first-scheduled-first — a
+    property the protocol state machines rely on for determinism.
+
+    Entries live in three parallel arrays (unboxed keys, insertion
+    sequence numbers, values): three array slots per element. *)
 
 type 'a t
 

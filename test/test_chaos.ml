@@ -425,6 +425,22 @@ let test_udp_join_rejected_under_static () =
         (Invalid_argument "Udp_runtime.join_node: membership is static") (fun () ->
           Udp.join_node udp 2))
 
+(* Ports past 65535 would wrap modulo 2^16 in [bind]; the range is
+   checked before any socket exists, so this needs no sockets. *)
+let test_udp_port_range () =
+  let module Udp = Apor_deploy.Udp_runtime in
+  let config = Apor_overlay_core.Config.deploy_local in
+  let rejects ~base_port ~n =
+    Alcotest.check_raises
+      (Printf.sprintf "base_port %d, n %d" base_port n)
+      (Invalid_argument "Udp_runtime.create: ports outside [1, 65535]")
+      (fun () -> ignore (Udp.create ~config ~n ~base_port ~seed:3 ()))
+  in
+  rejects ~base_port:65530 ~n:16;
+  rejects ~base_port:65521 ~n:16;
+  rejects ~base_port:0 ~n:3;
+  rejects ~base_port:(-5) ~n:3
+
 let () =
   Alcotest.run "apor_chaos"
     [
@@ -465,5 +481,6 @@ let () =
           Alcotest.test_case "kill/restart" `Quick test_udp_kill_restart;
           Alcotest.test_case "join refused under static membership" `Quick
             test_udp_join_rejected_under_static;
+          Alcotest.test_case "ports past 65535 rejected" `Quick test_udp_port_range;
         ] );
     ]

@@ -302,6 +302,20 @@ let test_metrics_percentiles () =
   | Some p -> check_bool "p999 near 1s" true (p > 0.8 && p < 1.25)
   | None -> Alcotest.fail "no p999"
 
+(* Loopback latencies sit under 100 us; they must read as themselves, not
+   as the 100 us edge of the millisecond-range bins. *)
+let test_metrics_sub_100us () =
+  let m = Metrics.create ~window_s:10. ~t0:0. in
+  for i = 0 to 99 do
+    let t = float_of_int i in
+    Metrics.record_sent m ~now:t;
+    Metrics.record_delivered m ~now:(t +. 5e-5) ~sent_at:t ~payload:10 ~direct_s:None
+      ~hops:0
+  done;
+  match Metrics.latency_percentile m 50. with
+  | Some p -> check_bool "p50 near 50us" true (p > 4.5e-5 && p < 5.5e-5)
+  | None -> Alcotest.fail "no p50"
+
 (* --- end to end on the simulator ----------------------------------------- *)
 
 let small_spec = { Workload.default with Workload.rate_pps = 100. }
@@ -743,6 +757,7 @@ let () =
         [
           Alcotest.test_case "per-window loss" `Quick test_metrics_windows;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
+          Alcotest.test_case "latencies under 100 us" `Quick test_metrics_sub_100us;
         ] );
       ( "run(sim)",
         [

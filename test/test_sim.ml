@@ -93,15 +93,25 @@ let test_network_rejects_malformed () =
 
 (* --- Engine ------------------------------------------------------------------- *)
 
-(* Every engine test runs against both scheduler backends: the calendar
-   queue (production) and the reference binary heap.  They must be
-   observationally identical. *)
+(* Every engine test runs twice: on a bare engine, and on one with a tap
+   whose hooks do nothing, which must not change what the engine does.  The
+   tapped run keeps the group name "engine(calendar)" it had when the engine
+   also had a calendar-queue backend, so results compare across versions. *)
 
-let make_engine ?scheduler () =
-  Engine.create ?scheduler ~network:(Network.create ~rtt_ms:two_node_rtt ~seed:3 ()) ()
+let null_tap =
+  let hook ~cls:_ ~src:_ ~dst:_ ~bytes:_ = () in
+  { Engine.on_send = hook; on_deliver = hook; on_drop = hook }
 
-let test_engine_schedule_order scheduler () =
-  let e = make_engine ~scheduler () in
+let engine_of ~tapped net =
+  let e = Engine.create ~network:net () in
+  if tapped then Engine.set_tap e (Some null_tap);
+  e
+
+let make_engine ~tapped () =
+  engine_of ~tapped (Network.create ~rtt_ms:two_node_rtt ~seed:3 ())
+
+let test_engine_schedule_order tapped () =
+  let e = make_engine ~tapped () in
   let log = ref [] in
   Engine.schedule e ~delay:2. (fun () -> log := "b" :: !log);
   Engine.schedule e ~delay:1. (fun () -> log := "a" :: !log);
@@ -110,8 +120,8 @@ let test_engine_schedule_order scheduler () =
   Alcotest.(check (list string)) "order (ties FIFO)" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "clock at horizon" 10. (Engine.now e)
 
-let test_engine_send_delivers_with_latency scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_send_delivers_with_latency tapped () =
+  let e = make_engine ~tapped () in
   let arrival = ref nan in
   Engine.set_handler e (fun ~dst ~src msg ->
       check_int "dst" 1 dst;
@@ -123,8 +133,8 @@ let test_engine_send_delivers_with_latency scheduler () =
   Engine.run_until e 5.;
   check_float "arrival = 1 + rtt/2" 1.05 !arrival
 
-let test_engine_send_accounts_traffic scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_send_accounts_traffic tapped () =
+  let e = make_engine ~tapped () in
   Engine.set_handler e (fun ~dst:_ ~src:_ _ -> ());
   Engine.send e ~cls:Traffic.Routing ~src:0 ~dst:1 ~bytes:100 0;
   Engine.run_until e 1.;
@@ -132,10 +142,10 @@ let test_engine_send_accounts_traffic scheduler () =
   check_int "out at 0" 100 (Traffic.bytes_in_range traffic ~cls:Traffic.Routing ~node:0 ~t0:0. ~t1:1.);
   check_int "in at 1" 100 (Traffic.bytes_in_range traffic ~cls:Traffic.Routing ~node:1 ~t0:0. ~t1:1.)
 
-let test_engine_dropped_message_charges_sender_only scheduler () =
+let test_engine_dropped_message_charges_sender_only tapped () =
   let net = Network.create ~rtt_ms:two_node_rtt ~seed:3 () in
   Network.set_link_up net 0 1 false;
-  let e = Engine.create ~scheduler ~network:net () in
+  let e = engine_of ~tapped net in
   Engine.set_handler e (fun ~dst:_ ~src:_ _ -> Alcotest.fail "should not deliver");
   Engine.send e ~cls:Traffic.Routing ~src:0 ~dst:1 ~bytes:100 0;
   Engine.run_until e 1.;
@@ -143,14 +153,14 @@ let test_engine_dropped_message_charges_sender_only scheduler () =
   check_int "out charged" 100 (Traffic.bytes_in_range traffic ~cls:Traffic.Routing ~node:0 ~t0:0. ~t1:1.);
   check_int "in not charged" 0 (Traffic.bytes_in_range traffic ~cls:Traffic.Routing ~node:1 ~t0:0. ~t1:1.)
 
-let test_engine_no_handler_fails scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_no_handler_fails tapped () =
+  let e = make_engine ~tapped () in
   Engine.send e ~cls:Traffic.Probe ~src:0 ~dst:1 ~bytes:1 0;
   Alcotest.check_raises "no handler" (Failure "Engine: message delivered with no handler installed")
     (fun () -> Engine.run_until e 1.)
 
-let test_engine_step_and_pending scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_step_and_pending tapped () =
+  let e = make_engine ~tapped () in
   Engine.schedule e ~delay:1. ignore;
   Engine.schedule e ~delay:2. ignore;
   check_int "pending" 2 (Engine.pending e);
@@ -159,10 +169,10 @@ let test_engine_step_and_pending scheduler () =
   check_bool "step" true (Engine.step e);
   check_bool "exhausted" false (Engine.step e)
 
-let test_engine_determinism scheduler () =
+let test_engine_determinism tapped () =
   let run () =
     let net = Network.create ~rtt_ms:two_node_rtt ~loss:[| [| 0.; 0.5 |]; [| 0.5; 0. |] |] ~seed:9 () in
-    let e = Engine.create ~scheduler ~network:net () in
+    let e = engine_of ~tapped net in
     let received = ref 0 in
     Engine.set_handler e (fun ~dst:_ ~src:_ _ -> incr received);
     for i = 1 to 100 do
@@ -174,27 +184,27 @@ let test_engine_determinism scheduler () =
   in
   check_int "same seed same outcome" (run ()) (run ())
 
-let test_engine_negative_delay_rejected scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_negative_delay_rejected tapped () =
+  let e = make_engine ~tapped () in
   Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: bad delay") (fun () ->
       Engine.schedule e ~delay:(-1.) ignore)
 
 
-let test_engine_schedule_at_past_clamps scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_schedule_at_past_clamps tapped () =
+  let e = make_engine ~tapped () in
   Engine.run_until e 10.;
   let fired_at = ref nan in
   Engine.schedule_at e ~time:5. (fun () -> fired_at := Engine.now e);
   Engine.run_until e 20.;
   check_float "clamped to now" 10. !fired_at
 
-let test_engine_run_until_no_events scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_run_until_no_events tapped () =
+  let e = make_engine ~tapped () in
   Engine.run_until e 42.;
   check_float "clock advances to horizon" 42. (Engine.now e)
 
-let test_engine_nested_scheduling scheduler () =
-  let e = make_engine ~scheduler () in
+let test_engine_nested_scheduling tapped () =
+  let e = make_engine ~tapped () in
   let log = ref [] in
   Engine.schedule e ~delay:1. (fun () ->
       log := "outer" :: !log;
@@ -202,11 +212,11 @@ let test_engine_nested_scheduling scheduler () =
   Engine.run_until e 3.;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log)
 
-let test_engine_stats scheduler () =
+let test_engine_stats tapped () =
   let net =
     Network.create ~rtt_ms:two_node_rtt ~loss:[| [| 0.; 0.5 |]; [| 0.5; 0. |] |] ~seed:9 ()
   in
-  let e = Engine.create ~scheduler ~network:net () in
+  let e = engine_of ~tapped net in
   Engine.set_handler e (fun ~dst:_ ~src:_ _ -> ());
   for i = 1 to 50 do
     Engine.schedule e ~delay:(float_of_int i) (fun () ->
@@ -223,33 +233,6 @@ let test_engine_stats scheduler () =
   check_bool "peak pending sane" true
     (s.Engine.max_pending >= 1 && s.Engine.max_pending <= 51);
   check_int "queue drained" 0 (Engine.pending e)
-
-(* The two backends must produce the exact same execution: same delivery
-   times, same payload order, same drop pattern (same RNG draw sequence),
-   same counters. *)
-let test_engine_backends_agree () =
-  let script scheduler =
-    let net =
-      Network.create ~rtt_ms:two_node_rtt ~loss:[| [| 0.; 0.3 |]; [| 0.3; 0. |] |]
-        ~seed:21 ()
-    in
-    let e = Engine.create ~scheduler ~network:net () in
-    let log = ref [] in
-    Engine.set_handler e (fun ~dst ~src msg ->
-        log := (Engine.now e, src, dst, msg) :: !log);
-    for i = 1 to 200 do
-      (* bursts of ties plus a far-future tail, to stress both queues *)
-      let d = if i mod 5 = 0 then 1e4 +. float_of_int i else float_of_int (i mod 13) in
-      Engine.schedule e ~delay:d (fun () ->
-          Engine.send e ~cls:Traffic.Probe ~src:(i mod 2) ~dst:((i + 1) mod 2) ~bytes:46 i)
-    done;
-    Engine.run_until e 2e4;
-    (List.rev !log, Engine.stats e)
-  in
-  let log_cal, stats_cal = script Engine.Calendar in
-  let log_bin, stats_bin = script Engine.Binary_heap in
-  check_bool "identical delivery streams" true (log_cal = log_bin);
-  check_bool "identical counters" true (stats_cal = stats_bin)
 
 (* --- Traffic ------------------------------------------------------------------ *)
 
@@ -316,26 +299,21 @@ let test_traffic_range_fractional_bounds () =
   check_int "same fractional second" 0 (range 3.2 3.7);
   check_int "negative t0 clamps" 7 (range (-5.) 4.)
 
-let engine_suite scheduler =
+let engine_suite tapped =
   [
-    Alcotest.test_case "schedule order" `Quick (test_engine_schedule_order scheduler);
-    Alcotest.test_case "send with latency" `Quick
-      (test_engine_send_delivers_with_latency scheduler);
-    Alcotest.test_case "traffic accounting" `Quick
-      (test_engine_send_accounts_traffic scheduler);
+    Alcotest.test_case "schedule order" `Quick (test_engine_schedule_order tapped);
+    Alcotest.test_case "send with latency" `Quick (test_engine_send_delivers_with_latency tapped);
+    Alcotest.test_case "traffic accounting" `Quick (test_engine_send_accounts_traffic tapped);
     Alcotest.test_case "drop charges sender only" `Quick
-      (test_engine_dropped_message_charges_sender_only scheduler);
-    Alcotest.test_case "no handler fails" `Quick (test_engine_no_handler_fails scheduler);
-    Alcotest.test_case "step and pending" `Quick (test_engine_step_and_pending scheduler);
-    Alcotest.test_case "deterministic" `Quick (test_engine_determinism scheduler);
-    Alcotest.test_case "negative delay rejected" `Quick
-      (test_engine_negative_delay_rejected scheduler);
-    Alcotest.test_case "schedule_at clamps past" `Quick
-      (test_engine_schedule_at_past_clamps scheduler);
-    Alcotest.test_case "run_until without events" `Quick
-      (test_engine_run_until_no_events scheduler);
-    Alcotest.test_case "nested scheduling" `Quick (test_engine_nested_scheduling scheduler);
-    Alcotest.test_case "profiling counters" `Quick (test_engine_stats scheduler);
+      (test_engine_dropped_message_charges_sender_only tapped);
+    Alcotest.test_case "no handler fails" `Quick (test_engine_no_handler_fails tapped);
+    Alcotest.test_case "step and pending" `Quick (test_engine_step_and_pending tapped);
+    Alcotest.test_case "deterministic" `Quick (test_engine_determinism tapped);
+    Alcotest.test_case "negative delay rejected" `Quick (test_engine_negative_delay_rejected tapped);
+    Alcotest.test_case "schedule_at clamps past" `Quick (test_engine_schedule_at_past_clamps tapped);
+    Alcotest.test_case "run_until without events" `Quick (test_engine_run_until_no_events tapped);
+    Alcotest.test_case "nested scheduling" `Quick (test_engine_nested_scheduling tapped);
+    Alcotest.test_case "profiling counters" `Quick (test_engine_stats tapped);
   ]
 
 let () =
@@ -355,10 +333,8 @@ let () =
           Alcotest.test_case "mutation symmetric" `Quick test_network_mutation;
           Alcotest.test_case "rejects malformed" `Quick test_network_rejects_malformed;
         ] );
-      ( "engine(calendar)",
-        engine_suite Engine.Calendar
-        @ [ Alcotest.test_case "backends agree" `Quick test_engine_backends_agree ] );
-      ("engine(binary-heap)", engine_suite Engine.Binary_heap);
+      ("engine(binary-heap)", engine_suite false);
+      ("engine(calendar)", engine_suite true);
       ( "traffic",
         [
           Alcotest.test_case "kbps" `Quick test_traffic_kbps;

@@ -429,53 +429,6 @@ let test_tracing_disabled_identical_routes () =
   check_bool "identical best hops" true (fst untraced = fst traced);
   Alcotest.(check (array int)) "identical routing bytes per node" (snd untraced) (snd traced)
 
-let test_scheduler_determinism () =
-  (* The calendar-queue engine must reproduce the reference binary heap's
-     execution exactly: same trace stream event for event (times, payloads,
-     snapshots), same per-node traffic, same engine counters — under churn,
-     at both deployment sizes.  Any tie-break or RNG-draw-order divergence
-     between the schedulers shows up here. *)
-  let run n scheduler =
-    let world = Internet.generate ~seed:2009 ~n () in
-    let tr = Collector.create () in
-    let events = ref [] in
-    Collector.subscribe tr (fun tv ->
-        events := (tv.Collector.time, tv.Collector.event) :: !events);
-    let c =
-      Cluster.create ~scheduler ~config:Config.quorum_default
-        ~rtt_ms:world.Internet.rtt_ms ~loss:world.Internet.loss ~trace:tr ~seed:2009 ()
-    in
-    let (_ : Failures.t) =
-      Failures.install ~engine:(Cluster.engine c) ~profile:Failures.planetlab ~seed:2009 ()
-    in
-    Cluster.start c;
-    let horizon = if n <= 49 then 300. else 120. in
-    Cluster.run_until c horizon;
-    let traffic = Cluster.traffic c in
-    let bytes =
-      Array.init n (fun node ->
-          List.fold_left
-            (fun acc cls ->
-              acc + Traffic.bytes_in_range traffic ~cls ~node ~t0:0. ~t1:horizon)
-            0 Traffic.all_classes)
-    in
-    (List.rev !events, bytes, Cluster.engine_stats c)
-  in
-  List.iter
-    (fun n ->
-      let ev_cal, by_cal, st_cal = run n Engine.Calendar in
-      let ev_bin, by_bin, st_bin = run n Engine.Binary_heap in
-      check_bool (Printf.sprintf "n=%d stream non-trivial" n) true
-        (List.length ev_cal > 1000);
-      check_bool (Printf.sprintf "n=%d event-for-event identical" n) true
-        (ev_cal = ev_bin);
-      Alcotest.(check (array int))
-        (Printf.sprintf "n=%d traffic identical" n)
-        by_bin by_cal;
-      check_bool (Printf.sprintf "n=%d engine counters identical" n) true
-        (st_cal = st_bin))
-    [ 49; 144 ]
-
 let test_query_counts_match_engine () =
   let n = 9 in
   let tr = Collector.create ~capacity:(1 lsl 20) () in
@@ -543,8 +496,6 @@ let () =
             test_tracing_disabled_identical_routes;
           Alcotest.test_case "delta ingest snapshots kept" `Slow
             test_delta_ingest_snapshots_kept;
-          Alcotest.test_case "calendar = binary-heap schedulers" `Slow
-            test_scheduler_determinism;
           Alcotest.test_case "query matches engine accounting" `Slow
             test_query_counts_match_engine;
         ] );

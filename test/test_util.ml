@@ -11,21 +11,44 @@ let contains ~needle haystack =
 
 (* --- Heap ---------------------------------------------------------------- *)
 
-let test_heap_orders_by_key () =
-  let h = Heap.create () in
+(* The heap checks run on two heaps: a fresh one, and one that has grown
+   past its first capacity and been drained, so its arrays hold stale keys
+   and sequence numbers and its sequence counter does not start at 0.  The
+   second run keeps the group name "calqueue" its checks had when they ran
+   on the calendar queue the engine used before Heap, so results compare
+   across versions.  [make filler] returns the heap; [filler] is any value
+   of the element type, used for the pushes that are drained again. *)
+type maker = { make : 'a. 'a -> 'a Heap.t }
+
+let fresh = { make = (fun _ -> Heap.create ()) }
+
+let reused =
+  let make filler =
+    let h = Heap.create () in
+    for i = 0 to 39 do
+      Heap.push h ~key:(float_of_int (i * 7 mod 40)) filler
+    done;
+    let rec drain () = match Heap.pop h with None -> () | Some _ -> drain () in
+    drain ();
+    h
+  in
+  { make }
+
+let test_heap_orders_by_key m () =
+  let h = m.make 0 in
   List.iter (fun k -> Heap.push h ~key:k (int_of_float k)) [ 5.; 1.; 3.; 2.; 4. ];
   let order = List.init 5 (fun _ -> Heap.pop h |> Option.get |> snd) in
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] order
 
-let test_heap_fifo_on_ties () =
-  let h = Heap.create () in
+let test_heap_fifo_on_ties m () =
+  let h = m.make "" in
   List.iter (fun v -> Heap.push h ~key:7. v) [ "a"; "b"; "c" ];
   Heap.push h ~key:3. "first";
   let order = List.init 4 (fun _ -> Heap.pop h |> Option.get |> snd) in
   Alcotest.(check (list string)) "fifo ties" [ "first"; "a"; "b"; "c" ] order
 
-let test_heap_empty () =
-  let h = Heap.create () in
+let test_heap_empty m () =
+  let h = m.make 0 in
   check_bool "empty" true (Heap.is_empty h);
   Alcotest.(check (option (pair (float 0.) int))) "pop none" None (Heap.pop h);
   Heap.push h ~key:1. 1;
@@ -33,12 +56,12 @@ let test_heap_empty () =
   Heap.clear h;
   check_bool "cleared" true (Heap.is_empty h)
 
-let test_heap_rejects_nan () =
+let test_heap_rejects_nan m () =
   Alcotest.check_raises "nan" (Invalid_argument "Heap.push: NaN key") (fun () ->
-      Heap.push (Heap.create ()) ~key:Float.nan ())
+      Heap.push (m.make ()) ~key:Float.nan ())
 
-let test_heap_peek_does_not_remove () =
-  let h = Heap.create () in
+let test_heap_peek_does_not_remove m () =
+  let h = m.make "" in
   Heap.push h ~key:2. "x";
   Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (2., "x")) (Heap.peek h);
   check_int "still there" 1 (Heap.length h)
@@ -57,8 +80,8 @@ let heap_sorts_random =
 (* Regression: a popped element must become collectable once the caller
    drops it.  The pre-fix [pop] left [data.(size)] pointing at the swapped
    element, pinning one arbitrary value per pop for the queue's lifetime. *)
-let test_heap_releases_popped () =
-  let h = Heap.create () in
+let test_heap_releases_popped m () =
+  let h = m.make (ref 0) in
   let w = Weak.create 8 in
   for i = 0 to 7 do
     let v = ref (i + 100) in
@@ -75,112 +98,88 @@ let test_heap_releases_popped () =
   (* keep the queue itself alive past the final check *)
   check_bool "queue empty" true (Heap.is_empty h)
 
-(* --- Calqueue ------------------------------------------------------------ *)
-
-let test_calqueue_orders_by_key () =
-  let q = Calqueue.create () in
-  List.iter (fun k -> Calqueue.push q ~key:k (int_of_float k)) [ 5.; 1.; 3.; 2.; 4. ];
-  let order = List.init 5 (fun _ -> Calqueue.pop q |> Option.get |> snd) in
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] order
-
-let test_calqueue_fifo_on_ties () =
-  let q = Calqueue.create () in
-  List.iter (fun v -> Calqueue.push q ~key:7. v) [ "a"; "b"; "c" ];
-  Calqueue.push q ~key:3. "first";
-  let order = List.init 4 (fun _ -> Calqueue.pop q |> Option.get |> snd) in
-  Alcotest.(check (list string)) "fifo ties" [ "first"; "a"; "b"; "c" ] order
-
-let test_calqueue_empty () =
-  let q = Calqueue.create () in
-  check_bool "empty" true (Calqueue.is_empty q);
-  Alcotest.(check (option (pair (float 0.) int))) "pop none" None (Calqueue.pop q);
-  Calqueue.push q ~key:1. 1;
-  check_int "length" 1 (Calqueue.length q);
-  Calqueue.clear q;
-  check_bool "cleared" true (Calqueue.is_empty q)
-
-let test_calqueue_rejects_nan () =
-  Alcotest.check_raises "nan" (Invalid_argument "Calqueue.push: NaN key") (fun () ->
-      Calqueue.push (Calqueue.create ()) ~key:Float.nan ())
-
-let test_calqueue_peek_does_not_remove () =
-  let q = Calqueue.create () in
-  Calqueue.push q ~key:2. "x";
-  Alcotest.(check (option (pair (float 0.) string)))
-    "peek" (Some (2., "x")) (Calqueue.peek q);
-  check_int "still there" 1 (Calqueue.length q)
-
-(* Keys spanning nine orders of magnitude force entries into the overflow
-   heap and trigger width/bucket retunes mid-stream; order must still be
-   exactly (key, insertion order). *)
-let test_calqueue_wide_key_range () =
-  let q = Calqueue.create () in
-  let keys =
-    List.init 500 (fun i ->
-        let i = float_of_int i in
-        if int_of_float i mod 7 = 0 then i *. 1e7 else Float.rem (i *. 13.) 97.)
-  in
-  List.iteri (fun i k -> Calqueue.push q ~key:k (i, k)) keys;
-  let rec drain acc = function
-    | 0 -> List.rev acc
-    | m -> drain ((Calqueue.pop q |> Option.get) :: acc) (m - 1)
-  in
-  let popped = drain [] (List.length keys) in
-  check_bool "drained" true (Calqueue.is_empty q);
-  let expected =
-    List.mapi (fun i k -> (k, (i, k))) keys
-    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-  in
-  check_bool "key+fifo order" true (popped = expected)
-
-let test_calqueue_releases_popped () =
-  let q = Calqueue.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    let v = ref (i + 100) in
-    Weak.set w i (Some v);
-    Calqueue.push q ~key:(float_of_int i) v
-  done;
-  for _ = 0 to 7 do
-    ignore (Calqueue.pop q)
-  done;
-  Gc.full_major ();
-  for i = 0 to 7 do
-    check_bool (Printf.sprintf "popped value %d collected" i) false (Weak.check w i)
-  done;
-  check_bool "queue empty" true (Calqueue.is_empty q)
-
-(* The scheduler-equivalence property the engine's determinism rests on:
-   for arbitrary push/pop interleavings the calendar queue and the
-   reference binary heap pop the same (key, value) sequence — including
-   FIFO order among equal keys (values are distinct tags, so any tie-break
-   divergence shows up as a value mismatch). *)
-let calqueue_matches_heap =
-  QCheck.Test.make ~name:"calqueue matches reference heap on interleavings" ~count:300
+(* The order the engine's determinism rests on: for arbitrary push/pop
+   interleavings the heap pops exactly a stable sort by key of what is
+   pending, i.e. (key, push order).  Values are distinct tags, so any
+   tie-break divergence shows up as a value mismatch. *)
+let heap_pops_stable_sort =
+  QCheck.Test.make ~name:"heap pops a stable sort of interleaved pushes" ~count:300
     QCheck.(list (pair bool (int_bound 60)))
     (fun ops ->
-      let q = Calqueue.create () and h = Heap.create () in
-      let tag = ref 0 in
+      let h = Heap.create () in
+      let pending = ref [] (* (key, tag), newest first *) and tag = ref 0 in
+      let expected_pop () =
+        match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !pending) with
+        | [] -> None
+        | ((_, first) as top) :: _ ->
+            pending := List.filter (fun (_, t) -> t <> first) !pending;
+            Some top
+      in
       let step (is_pop, raw) =
-        if is_pop then Calqueue.pop q = Heap.pop h
+        if is_pop then Heap.pop h = expected_pop ()
         else begin
-          (* /4 makes tie clusters; every 7th key lands far in the future
-             to exercise the overflow heap. *)
+          (* /4 makes tie clusters; every 7th key lands up to 6e9, so keys
+             span more than eight orders of magnitude. *)
           let key =
             if raw mod 7 = 0 then float_of_int raw *. 1e8 else float_of_int raw /. 4.
           in
           incr tag;
-          Calqueue.push q ~key !tag;
           Heap.push h ~key !tag;
+          pending := (key, !tag) :: !pending;
           true
         end
       in
       List.for_all step ops
       &&
       let rec drain () =
-        match (Calqueue.pop q, Heap.pop h) with
+        match (Heap.pop h, expected_pop ()) with
         | None, None -> true
         | a, b -> a = b && drain ()
+      in
+      drain ())
+
+(* Keys spanning nine orders of magnitude, with ties; order must be exactly
+   (key, insertion order). *)
+let test_heap_wide_key_range m () =
+  let keys =
+    List.init 500 (fun i ->
+        let i = float_of_int i in
+        if int_of_float i mod 7 = 0 then i *. 1e7 else Float.rem (i *. 13.) 97.)
+  in
+  let h = m.make (0, 0.) in
+  List.iteri (fun i k -> Heap.push h ~key:k (i, k)) keys;
+  let rec drain acc = function
+    | 0 -> List.rev acc
+    | m -> drain ((Heap.pop h |> Option.get) :: acc) (m - 1)
+  in
+  let popped = drain [] (List.length keys) in
+  check_bool "drained" true (Heap.is_empty h);
+  let expected =
+    List.mapi (fun i k -> (k, (i, k))) keys
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+  in
+  check_bool "key+fifo order" true (popped = expected)
+
+(* A drained, reused heap pops the same (key, tag) sequence as a fresh one
+   over arbitrary push/pop interleavings. *)
+let reused_matches_fresh =
+  QCheck.Test.make ~name:"calqueue matches reference heap on interleavings" ~count:300
+    QCheck.(list (pair bool (int_bound 60)))
+    (fun ops ->
+      let r = reused.make 0 and f = Heap.create () in
+      let step tag (is_pop, raw) =
+        if is_pop then Heap.pop r = Heap.pop f
+        else begin
+          let key = if raw mod 7 = 0 then float_of_int raw *. 1e8 else float_of_int raw /. 4. in
+          Heap.push r ~key tag;
+          Heap.push f ~key tag;
+          true
+        end
+      in
+      List.for_all Fun.id (List.mapi step ops)
+      &&
+      let rec drain () =
+        match (Heap.pop r, Heap.pop f) with None, None -> true | a, b -> a = b && drain ()
       in
       drain ())
 
@@ -352,30 +351,22 @@ let test_nodeid_validity () =
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
+let heap_cases m =
+  [
+    Alcotest.test_case "orders by key" `Quick (test_heap_orders_by_key m);
+    Alcotest.test_case "fifo on ties" `Quick (test_heap_fifo_on_ties m);
+    Alcotest.test_case "empty behaviour" `Quick (test_heap_empty m);
+    Alcotest.test_case "rejects NaN" `Quick (test_heap_rejects_nan m);
+    Alcotest.test_case "peek keeps element" `Quick (test_heap_peek_does_not_remove m);
+    Alcotest.test_case "wide key range" `Quick (test_heap_wide_key_range m);
+    Alcotest.test_case "releases popped values" `Quick (test_heap_releases_popped m);
+  ]
+
 let () =
   Alcotest.run "apor_util"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "orders by key" `Quick test_heap_orders_by_key;
-          Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_on_ties;
-          Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
-          Alcotest.test_case "rejects NaN" `Quick test_heap_rejects_nan;
-          Alcotest.test_case "peek keeps element" `Quick test_heap_peek_does_not_remove;
-          Alcotest.test_case "releases popped values" `Quick test_heap_releases_popped;
-          qcheck heap_sorts_random;
-        ] );
-      ( "calqueue",
-        [
-          Alcotest.test_case "orders by key" `Quick test_calqueue_orders_by_key;
-          Alcotest.test_case "fifo on ties" `Quick test_calqueue_fifo_on_ties;
-          Alcotest.test_case "empty behaviour" `Quick test_calqueue_empty;
-          Alcotest.test_case "rejects NaN" `Quick test_calqueue_rejects_nan;
-          Alcotest.test_case "peek keeps element" `Quick test_calqueue_peek_does_not_remove;
-          Alcotest.test_case "wide key range" `Quick test_calqueue_wide_key_range;
-          Alcotest.test_case "releases popped values" `Quick test_calqueue_releases_popped;
-          qcheck calqueue_matches_heap;
-        ] );
+      ("heap", heap_cases fresh @ [ qcheck heap_sorts_random; qcheck heap_pops_stable_sort ]);
+      ("calqueue", heap_cases reused @ [ qcheck reused_matches_fresh ]);
       ( "stats",
         [
           Alcotest.test_case "mean and stddev" `Quick test_stats_mean_stddev;
