@@ -77,6 +77,7 @@ let run ~quick ~seed ?n ?sim_s () =
       ("pair cache (beyond the rows)", sum (router (fun w -> w.Router.cache_words)));
       ("connecting slices and rec times", sum (router (fun w -> w.Router.rendezvous_words)));
       ("routes", sum (router (fun w -> w.Router.routes_words)));
+      ("recommendation batches", sum (router (fun w -> w.Router.batch_words)));
       ("monitor arrays", sum (fun node -> Monitor.state_words (Node.monitor node)));
       ("failure model", Obj.reachable_words (Obj.repr failures));
       ("engine queue", Apor_sim.Engine.queue_words engine);

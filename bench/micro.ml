@@ -191,6 +191,7 @@ type oracle_run = {
   o_sim_s : float;
   violations : int;
   recommendations_checked : int;
+  rec_gaps : int;
 }
 
 let oracle_once ~n ~seed =
@@ -219,6 +220,7 @@ let oracle_once ~n ~seed =
     o_sim_s = window_t1;
     violations = Oracle.violation_count oracle;
     recommendations_checked = Oracle.recommendations_checked oracle;
+    rec_gaps = Oracle.rec_gaps oracle;
   }
 
 (* Run [tasks] on [jobs] domains (the calling domain is one of them), each
@@ -312,8 +314,9 @@ let write_json ~path ~seed ~jobs ~runs ~oracle ~(dataplane : Dataplane.sim_point
   p "  ],\n";
   p
     "  \"oracle\": { \"n\": %d, \"mode\": \"delta\", \"sim_s\": %g, \
-     \"violations\": %d, \"recommendations_checked\": %d }\n"
-    oracle.o_n oracle.o_sim_s oracle.violations oracle.recommendations_checked;
+     \"violations\": %d, \"recommendations_checked\": %d, \"rec_gaps\": %d }\n"
+    oracle.o_n oracle.o_sim_s oracle.violations oracle.recommendations_checked
+    oracle.rec_gaps;
   p "}\n";
   close_out oc
 
@@ -377,8 +380,9 @@ let scaling ?json ~quick ~jobs ~seed () =
      PlanetLab churn, every recommendation checked)...\n%!"
     oracle_n;
   let oracle = oracle_once ~n:oracle_n ~seed in
-  Printf.printf "oracle: %d violations over %d recommendations checked\n"
-    oracle.violations oracle.recommendations_checked;
+  Printf.printf
+    "oracle: %d violations over %d recommendations checked; %d recommendation gaps resynced\n"
+    oracle.violations oracle.recommendations_checked oracle.rec_gaps;
   (match json with
   | None -> ()
   | Some path ->

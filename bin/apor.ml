@@ -164,9 +164,18 @@ let emulate_cmd =
 
 (* --- deploy-local ------------------------------------------------------------ *)
 
+(* A node count or [--base-port] the UDP runtime cannot lay out (fewer
+   than two nodes, or some node's port outside [1, 65535]) is a usage
+   error, reported (exit 124) before any socket is bound. *)
+let with_ports ~n ~base_port run =
+  match Apor_deploy.Udp_runtime.check_layout ~n ~base_port with
+  | Ok () -> `Ok (run ())
+  | Error e -> `Error (true, Printf.sprintf "%d nodes from --base-port %d: %s" n base_port e)
+
 (* The same protocol core the simulator runs, over real loopback UDP at
    the compressed deploy-local timescales ({!Config.deploy_local}). *)
 let run_deploy_local n duration quick base_port seed json =
+  with_ports ~n ~base_port @@ fun () ->
   let module Udp = Apor_deploy.Udp_runtime in
   let config = Config.deploy_local in
   let duration = if quick then Float.min duration 6.0 else duration in
@@ -210,9 +219,10 @@ let run_deploy_local n duration quick base_port seed json =
       Printf.bprintf buf "\"pairs_covered\": %d, \"pairs_total\": %d, " covered total;
       Printf.bprintf buf "\"oracle_violations\": %d, " violations;
       Printf.bprintf buf
-        "\"recommendations_checked\": %d, \"applications_checked\": %d, "
+        "\"recommendations_checked\": %d, \"applications_checked\": %d, \"rec_gaps\": %d, "
         (Apor_trace.Oracle.recommendations_checked oracle)
-        (Apor_trace.Oracle.applications_checked oracle);
+        (Apor_trace.Oracle.applications_checked oracle)
+        (Apor_trace.Oracle.rec_gaps oracle);
       Printf.bprintf buf
         "\"datagrams_sent\": %d, \"datagrams_received\": %d, \"send_retries\": %d, \"frames_dropped\": %d, "
         stats.Udp.datagrams_sent stats.Udp.datagrams_received stats.Udp.send_retries
@@ -256,7 +266,7 @@ let deploy_local_cmd =
   Cmd.v
     (Cmd.info "deploy-local"
        ~doc:"Run the sans-IO protocol core over real loopback UDP sockets")
-    Term.(const run_deploy_local $ n $ duration $ quick $ base_port $ seed $ json)
+    Term.(ret (const run_deploy_local $ n $ duration $ quick $ base_port $ seed $ json))
 
 (* --- detour ------------------------------------------------------------------- *)
 
@@ -308,6 +318,12 @@ let run_chaos scenario_file runtime json base_port time_scale verbose =
       Format.eprintf "chaos: %s@." e;
       exit 2
   | Ok scn -> (
+      let checked run =
+        match runtime with
+        | `Udp -> with_ports ~n:scn.Scenario.n ~base_port run
+        | `Sim -> `Ok (run ())
+      in
+      checked @@ fun () ->
       Format.printf "%a@." Scenario.pp scn;
       let progress = if verbose then fun s -> Format.printf "  %s@." s else fun _ -> () in
       let result =
@@ -393,7 +409,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Replay a fault scenario with the invariant oracle attached and score resilience")
     Term.(
-      const run_chaos $ scenario $ runtime $ json $ base_port $ time_scale $ verbose)
+      ret (const run_chaos $ scenario $ runtime $ json $ base_port $ time_scale $ verbose))
 
 (* --- traffic ----------------------------------------------------------------- *)
 
@@ -437,9 +453,11 @@ let run_traffic runtime n seed duration shape rate payload hotspot closed window
     end
   in
   match runtime with
-  | `Sim -> finish (Run.run_sim ?n ~seed ?duration_s:duration ~spec ~churn ())
+  | `Sim -> `Ok (finish (Run.run_sim ?n ~seed ?duration_s:duration ~spec ~churn ()))
   | `Udp -> (
-      match Run.run_udp ?n ~seed ?duration_s:duration ~base_port ~spec () with
+      let n = Option.value n ~default:8 (* as Run.run_udp *) in
+      with_ports ~n ~base_port @@ fun () ->
+      match Run.run_udp ~n ~seed ?duration_s:duration ~base_port ~spec () with
       | Error e when String.length e >= 7 && String.sub e 0 7 = "sockets" ->
           Format.printf "traffic: %s; skipping@." e;
           exit 0
@@ -525,8 +543,9 @@ let traffic_cmd =
          "Drive user datagrams over the overlay's one-hop routes and report goodput, \
           stretch and loss")
     Term.(
-      const run_traffic $ runtime $ n $ seed $ duration $ shape $ rate $ payload $ hotspot
-      $ closed $ window $ think $ churn $ base_port $ json)
+      ret
+        (const run_traffic $ runtime $ n $ seed $ duration $ shape $ rate $ payload $ hotspot
+       $ closed $ window $ think $ churn $ base_port $ json))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

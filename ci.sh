@@ -148,6 +148,19 @@ rm -f /tmp/apor-closed-a.json /tmp/apor-closed-b.json
 dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --base-port 9700
 dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --closed --base-port 9800
 
+# Usage errors: a --base-port that puts some node's UDP port outside
+# [1, 65535] must end in cmdliner's usage-error exit code (124), checked
+# before any socket is bound, on every command that takes one.
+for cmd in "deploy-local --n 16" "chaos --scenario examples/chaos/smoke.scn --runtime udp" \
+  "traffic --runtime udp"; do
+  code=0
+  dune exec bin/apor.exe -- $cmd --base-port 65530 2>/dev/null || code=$?
+  if [ "$code" != 124 ]; then
+    echo "ci: apor $cmd --base-port 65530 exited $code, expected the usage error 124" >&2
+    exit 1
+  fi
+done
+
 # Documentation build (odoc). The libraries are private, so the pages live
 # under @doc-private. Skipped when odoc isn't installed (offline images).
 if command -v odoc >/dev/null 2>&1; then

@@ -335,11 +335,16 @@ let wire_core t ep =
   in
   ep.rt <- Some rt
 
+let check_layout ~n ~base_port =
+  if n < 2 then Error "need at least two nodes"
+  else if n > 0xFFFF then Error "n out of range"
+  else if base_port < 1 || base_port + n - 1 > 0xFFFF then Error "ports outside [1, 65535]"
+  else Ok ()
+
 let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed () =
-  if n < 2 then invalid_arg "Udp_runtime.create: need at least two nodes";
-  if n > 0xFFFF then invalid_arg "Udp_runtime.create: n out of range";
-  if base_port < 1 || base_port + n - 1 > 0xFFFF then
-    invalid_arg "Udp_runtime.create: ports outside [1, 65535]";
+  (match check_layout ~n ~base_port with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Udp_runtime.create: " ^ e));
   (match membership with
   | `Static -> ()
   | `Dynamic initial ->

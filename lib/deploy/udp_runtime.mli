@@ -71,6 +71,12 @@ type membership = [ `Static | `Dynamic of int ]
 
 type t
 
+val check_layout : n:int -> base_port:int -> (unit, string) result
+(** Whether [n] nodes fit the runtime: at least two, and node [i]'s UDP
+    port [base_port + i] inside [[1, 65535]] for every node — the check
+    {!create} makes before binding anything, exposed so a command line
+    can report a usage error first. *)
+
 val create :
   config:Apor_overlay_core.Config.t ->
   n:int ->
@@ -88,8 +94,8 @@ val create :
     simulator produces, so {!Apor_trace.Oracle} and [Trace_report] work
     unchanged.  @raise Unix.Unix_error when sockets are unavailable (all
     already-bound sockets are closed first).
-    @raise Invalid_argument before binding anything when [base_port < 1]
-    or [base_port + n - 1 > 65535]. *)
+    @raise Invalid_argument before binding anything when {!check_layout}
+    fails ([n < 2], [base_port < 1] or [base_port + n - 1 > 65535]). *)
 
 val start : t -> unit
 

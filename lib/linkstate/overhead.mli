@@ -22,8 +22,9 @@ val link_state_delta_bytes : changes:int -> int
     when fewer than [(3n - 6) / 5] entries changed. *)
 
 val resync_request_bytes : int
-(** A receiver's "resend a full snapshot" request after an epoch gap:
-    header plus the 2-byte owner id. *)
+(** A receiver's "resend the full form" request after an epoch gap —
+    a link-state snapshot or a recommendation batch: header plus the
+    2-byte id of the node asked. *)
 
 val multihop_state_bytes : n:int -> int
 (** Multi-hop variant: the announcement also carries the 2-byte [Sec]
@@ -35,6 +36,12 @@ val asymmetric_link_state_bytes : n:int -> int
 
 val recommendation_message_bytes : entries:int -> int
 (** Round-two recommendations: [header_bytes + 4 * entries]. *)
+
+val recommendation_delta_bytes : changes:int -> int
+(** Round-two recommendations, delta form ({!Rec_batch}): epoch and base
+    epoch (4 bytes each) plus 4 bytes per changed pair,
+    [header_bytes + 8 + 4 * changes].  Cheaper than the full form exactly
+    when fewer than [entries - 2] pairs changed. *)
 
 val membership_view_bytes : n:int -> int
 (** Coordinator view push: version (4) plus a 2-byte id per member. *)

@@ -55,8 +55,8 @@ let handle_message t ~now ~src_port msg =
   | Message.Join _ | Message.Leave _
   | Message.Probe _ | Message.Probe_reply _ | Message.Link_state _
   | Message.Link_state_delta _ | Message.Ls_resync _
-  | Message.Recommend _ | Message.View _ | Message.Relay _ | Message.Dgram _
-  | Message.Member _ ->
+  | Message.Recommend _ | Message.Recommend_delta _ | Message.Rec_resync _
+  | Message.View _ | Message.Relay _ | Message.Dgram _ | Message.Member _ ->
       ()
 
 let on_sweep_timer t ~now =

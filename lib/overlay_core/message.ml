@@ -16,7 +16,14 @@ type t =
   | Link_state of { view : int; epoch : int; snapshot : Snapshot.t }
   | Link_state_delta of { view : int; delta : Wire.Delta.t }
   | Ls_resync of { view : int; owner : Nodeid.t }
-  | Recommend of { view : int; entries : (Nodeid.t * Nodeid.t) list }
+  | Recommend of { view : int; epoch : int; entries : (Nodeid.t * Nodeid.t) list }
+  | Recommend_delta of {
+      view : int;
+      epoch : int;
+      base : int;
+      changed : (Nodeid.t * Nodeid.t) list;
+    }
+  | Rec_resync of { view : int; server : Nodeid.t }
   | Join of { port : int }
   | Leave of { port : int }
   | View of { version : int; members : Nodeid.t list }
@@ -31,9 +38,11 @@ let rec size_bytes = function
   | Link_state { snapshot; _ } -> Overhead.header_bytes + Snapshot.payload_bytes snapshot
   | Link_state_delta { delta; _ } ->
       Overhead.link_state_delta_bytes ~changes:(List.length delta.Wire.Delta.changes)
-  | Ls_resync _ -> Overhead.resync_request_bytes
+  | Ls_resync _ | Rec_resync _ -> Overhead.resync_request_bytes
   | Recommend { entries; _ } ->
       Overhead.recommendation_message_bytes ~entries:(List.length entries)
+  | Recommend_delta { changed; _ } ->
+      Overhead.recommendation_delta_bytes ~changes:(List.length changed)
   | Join _ | Leave _ -> Overhead.membership_request_bytes
   | View { members; _ } -> Overhead.membership_view_bytes ~n:(List.length members)
   | Relay { inner; _ } -> Overhead.header_bytes + size_bytes inner
@@ -42,7 +51,9 @@ let rec size_bytes = function
 
 let rec cls = function
   | Probe _ | Probe_reply _ -> Msgclass.Probe
-  | Link_state _ | Link_state_delta _ | Ls_resync _ | Recommend _ -> Msgclass.Routing
+  | Link_state _ | Link_state_delta _ | Ls_resync _ | Recommend _ | Recommend_delta _
+  | Rec_resync _ ->
+      Msgclass.Routing
   | Join _ | Leave _ | View _ | Member _ -> Msgclass.Membership
   | Dgram _ -> Msgclass.Data
   | Relay { inner; _ } -> cls inner
@@ -65,8 +76,14 @@ let rec equal a b =
            d1.Wire.Delta.changes d2.Wire.Delta.changes
   | Ls_resync { view = v1; owner = o1 }, Ls_resync { view = v2; owner = o2 } ->
       v1 = v2 && o1 = o2
-  | Recommend { view = v1; entries = e1 }, Recommend { view = v2; entries = e2 } ->
-      v1 = v2 && e1 = e2
+  | ( Recommend { view = v1; epoch = p1; entries = e1 },
+      Recommend { view = v2; epoch = p2; entries = e2 } ) ->
+      v1 = v2 && p1 = p2 && e1 = e2
+  | ( Recommend_delta { view = v1; epoch = p1; base = b1; changed = c1 },
+      Recommend_delta { view = v2; epoch = p2; base = b2; changed = c2 } ) ->
+      v1 = v2 && p1 = p2 && b1 = b2 && c1 = c2
+  | Rec_resync { view = v1; server = s1 }, Rec_resync { view = v2; server = s2 } ->
+      v1 = v2 && s1 = s2
   | Join { port = p1 }, Join { port = p2 } -> p1 = p2
   | Leave { port = p1 }, Leave { port = p2 } -> p1 = p2
   | View { version = v1; members = m1 }, View { version = v2; members = m2 } ->
@@ -77,7 +94,8 @@ let rec equal a b =
   | Dgram a, Dgram b -> a = b
   | Member w1, Member w2 -> Apor_membership.Wire.equal w1 w2
   | ( ( Probe _ | Probe_reply _ | Link_state _ | Link_state_delta _ | Ls_resync _
-      | Recommend _ | Join _ | Leave _ | View _ | Relay _ | Dgram _ | Member _ ),
+      | Recommend _ | Recommend_delta _ | Rec_resync _ | Join _ | Leave _ | View _
+      | Relay _ | Dgram _ | Member _ ),
       _ ) ->
       false
 
@@ -104,6 +122,8 @@ let tag_view = 8
 let tag_relay = 10
 let tag_dgram = 11
 let tag_member = 12
+let tag_recommend_delta = 13
+let tag_rec_resync = 14
 
 let u16_max = 0xFFFF
 let u32_max = 0xFFFFFFFF
@@ -144,11 +164,33 @@ let rec encode_into b = function
       put_u8 b tag_ls_resync;
       put_u32 b view;
       put_u16 b owner
-  | Recommend { view; entries } ->
+  | Recommend { view; epoch; entries } ->
       put_u8 b tag_recommend;
       put_u32 b view;
+      put_u32 b epoch;
       put_u16 b (List.length entries);
       Buffer.add_bytes b (Wire.encode_recommendations entries)
+  | Recommend_delta { view; epoch; base; changed } ->
+      put_u8 b tag_recommend_delta;
+      put_u32 b view;
+      put_u32 b epoch;
+      put_u32 b base;
+      put_u16 b (List.length changed);
+      (* a dropped destination's hop travels as 0xFFFF, so no real hop
+         may take that value *)
+      Buffer.add_bytes b
+        (Wire.encode_recommendations
+           (List.map
+              (fun (dst, hop) ->
+                if hop = Rec_batch.dropped then (dst, u16_max)
+                else if hop = u16_max then
+                  invalid_arg "Message.encode: hop 0xFFFF marks a dropped destination"
+                else (dst, hop))
+              changed))
+  | Rec_resync { view; server } ->
+      put_u8 b tag_rec_resync;
+      put_u32 b view;
+      put_u16 b server
   | Join { port } ->
       put_u8 b tag_join;
       put_u16 b port
@@ -239,10 +281,28 @@ let decode buf =
         Ok (Ls_resync { view; owner = u16 () })
     | tag when tag = tag_recommend -> (
         let view = u32 () in
+        let epoch = u32 () in
         let n = u16 () in
         match Wire.decode_recommendations (raw (n * Wire.recommendation_bytes)) with
-        | Ok entries -> Ok (Recommend { view; entries })
+        | Ok entries -> Ok (Recommend { view; epoch; entries })
         | Error e -> Error e)
+    | tag when tag = tag_recommend_delta -> (
+        let view = u32 () in
+        let epoch = u32 () in
+        let base = u32 () in
+        let n = u16 () in
+        match Wire.decode_recommendations (raw (n * Wire.recommendation_bytes)) with
+        | Ok pairs ->
+            let changed =
+              List.map
+                (fun (dst, hop) -> (dst, if hop = u16_max then Rec_batch.dropped else hop))
+                pairs
+            in
+            Ok (Recommend_delta { view; epoch; base; changed })
+        | Error e -> Error e)
+    | tag when tag = tag_rec_resync ->
+        let view = u32 () in
+        Ok (Rec_resync { view; server = u16 () })
     | tag when tag = tag_join -> Ok (Join { port = u16 () })
     | tag when tag = tag_leave -> Ok (Leave { port = u16 () })
     | tag when tag = tag_view ->
@@ -291,8 +351,14 @@ let rec pp ppf = function
         (List.length delta.Wire.Delta.changes)
   | Ls_resync { view; owner } ->
       Format.fprintf ppf "ls-resync(view=%d, owner=%d)" view owner
-  | Recommend { view; entries } ->
-      Format.fprintf ppf "recommend(view=%d, %d entries)" view (List.length entries)
+  | Recommend { view; epoch; entries } ->
+      Format.fprintf ppf "recommend(view=%d, epoch=%d, %d entries)" view epoch
+        (List.length entries)
+  | Recommend_delta { view; epoch; base; changed } ->
+      Format.fprintf ppf "recommend-delta(view=%d, epoch=%d, base=%d, %d changed)" view epoch
+        base (List.length changed)
+  | Rec_resync { view; server } ->
+      Format.fprintf ppf "rec-resync(view=%d, server=%d)" view server
   | Join { port } -> Format.fprintf ppf "join(%d)" port
   | Leave { port } -> Format.fprintf ppf "leave(%d)" port
   | View { version; members } ->

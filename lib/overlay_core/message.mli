@@ -36,8 +36,26 @@ type t =
   | Ls_resync of { view : int; owner : Nodeid.t }
       (** Receiver-to-owner: "I cannot apply your deltas — resend a full
           snapshot."  Sent on a detected epoch gap. *)
-  | Recommend of { view : int; entries : (Nodeid.t * Nodeid.t) list }
-      (** Round two: [(destination, best hop)] pairs. *)
+  | Recommend of { view : int; epoch : int; entries : (Nodeid.t * Nodeid.t) list }
+      (** Round two, full form: the server's whole batch of
+          [(destination, best hop)] pairs for this client, ascending by
+          destination.  [epoch] is the server's announcement epoch of the
+          tick that computed it; later deltas build on it. *)
+  | Recommend_delta of {
+      view : int;
+      epoch : int;
+      base : int;
+      changed : (Nodeid.t * Nodeid.t) list;
+    }
+      (** Round two, delta form ({!Apor_linkstate.Rec_batch}): the batch
+          at [epoch] as changes to the batch at [base], the one the server
+          last sent this client.  [changed] holds the pairs added or moved
+          and each dropped destination with hop [Rec_batch.dropped],
+          ascending by destination; empty, it reaffirms the whole batch.
+          A client not holding [base] sends a [Rec_resync]. *)
+  | Rec_resync of { view : int; server : Nodeid.t }
+      (** Client-to-server: "I cannot apply your recommendation deltas —
+          resend your last batch in full."  Sent on a detected gap. *)
   | Join of { port : int }
       (** Membership: registration/refresh at the coordinator.  [port]
           is the joiner's overlay address (its network index). *)
@@ -82,7 +100,9 @@ val encode : t -> bytes
     link-state entries, deltas and recommendations.  Encoding quantizes
     snapshot entries exactly as the simulated network does.
     @raise Invalid_argument when a field exceeds its wire width
-    (ports/ids 16 bits, views/epochs/seqs 32 bits). *)
+    (ports/ids 16 bits, views/epochs/seqs 32 bits), or when a
+    [Recommend_delta] hop is 0xFFFF, the wire's mark for a dropped
+    destination. *)
 
 val decode : bytes -> (t, string) result
 (** Total inverse of {!encode} over well-formed input: truncated input,

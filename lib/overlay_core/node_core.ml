@@ -187,28 +187,22 @@ let best_hop t ~now ~dst_port =
   | Quorum r -> Router.best_hop_port r ~now ~dst_port
   | Full_mesh r -> Router_fullmesh.best_hop_port r ~now ~dst_port
 
-(* Receipt of a [Recommend] additionally surfaces each applied entry as a
-   {!Recommend} output in port space, so transports without a trace
+(* Receipt of a [Recommend] or [Recommend_delta] additionally surfaces each
+   entry of the batch the router applied — rebuilt in full from a delta —
+   as a {!Recommend} output in port space, so transports without a trace
    attached (the UDP runtime's coverage tracking) can observe routing
    progress without reaching into the router. *)
-let surface_recommendations t ~src_port ~view:version entries =
+let surface_recommendation t ~src_port ~view:version dst hop =
   match t.view with
   | Some v when View.version v = version ->
       let m = View.size v in
-      List.iter
-        (fun (dst, hop) ->
-          if dst >= 0 && dst < m && hop >= 0 && hop < m then begin
-            let dst_port = View.port_of_rank v dst in
-            if dst_port <> t.port then
-              push t.buf
-                (Recommend
-                   {
-                     server_port = src_port;
-                     dst_port;
-                     hop_port = View.port_of_rank v hop;
-                   })
-          end)
-        entries
+      if dst >= 0 && dst < m && hop >= 0 && hop < m then begin
+        let dst_port = View.port_of_rank v dst in
+        if dst_port <> t.port then
+          push t.buf
+            (Recommend
+               { server_port = src_port; dst_port; hop_port = View.port_of_rank v hop })
+      end
   | Some _ | None -> ()
 
 let rec deliver t ~src_port msg =
@@ -220,15 +214,18 @@ let rec deliver t ~src_port msg =
   | Message.View { version; members } ->
       t.joined <- true;
       install_view t (View.create ~version ~members)
-  | Message.Link_state _ | Message.Link_state_delta _ | Message.Ls_resync _ -> (
+  | Message.Link_state _ | Message.Link_state_delta _ | Message.Ls_resync _
+  | Message.Rec_resync _ -> (
       match t.router with
       | Quorum r -> Router.handle_message r ~now:t.buf.now ~src_port msg
       | Full_mesh r -> Router_fullmesh.handle_message r ~now:t.buf.now ~src_port msg)
-  | Message.Recommend { view; entries } ->
-      (match t.router with
-      | Quorum r -> Router.handle_message r ~now:t.buf.now ~src_port msg
-      | Full_mesh r -> Router_fullmesh.handle_message r ~now:t.buf.now ~src_port msg);
-      surface_recommendations t ~src_port ~view entries
+  | Message.Recommend { view; _ } | Message.Recommend_delta { view; _ } -> (
+      match t.router with
+      | Quorum r ->
+          Router.receive_recommendation r ~now:t.buf.now ~src_port
+            ~surface:(surface_recommendation t ~src_port ~view)
+            msg
+      | Full_mesh _ -> ())
   | Message.Join _ | Message.Leave _ -> () (* we are not the coordinator *)
   | Message.Member w -> membership_input t (Membership.Deliver { src_port; msg = w })
   | Message.Relay { origin; target; inner } ->

@@ -56,6 +56,12 @@ type ctx = {
   (* Incremental round-two state: pair winners over our table's own rows,
      repaired in O(changes) per ingested announcement. *)
   cache : Best_hop.Cache.t option;
+  (* Delta recommendation state (with [delta_link_state] only): the
+     batches of our last tick, each the base of its client's next delta;
+     per server rank, the last batch we hold from it — the base we rebuild
+     its deltas on. *)
+  mutable rec_sent : Rec_batch.Sent.t option;
+  rec_held : Rec_batch.t option array;
 }
 
 type t = {
@@ -159,6 +165,8 @@ let set_view t ~now v =
                 (if t.config.incremental_rendezvous && m >= 2 then
                    Some (Best_hop.Cache.create ~n:m ~metric:t.config.metric)
                  else None);
+              rec_sent = None;
+              rec_held = Array.make m None;
             };
         (match t.trace with
         | Some emit ->
@@ -520,34 +528,31 @@ let tick t ~now =
             fun ~src ~dst -> Best_hop.best_rows metric ~src:(row src) ~dst:(row dst)
       in
       let clients = List.filter (fun rank -> rank <> ctx.self) fresh_ranks in
+      (* Each client's batch covers every other fresh rank, ourselves
+         included, so none is empty.  Under delta dissemination, a client
+         sent a batch at our previous tick gets only the pairs that
+         changed since, when that is the smaller form (after a
+         churn-heavy interval it may not be); without it [rec_sent] stays
+         [None] and every batch goes in full. *)
+      let sent = Rec_batch.Sent.create ~epoch fresh_ranks in
+      let view = View.version ctx.view in
       List.iter
         (fun i ->
-          let entries =
-            List.filter_map
-              (fun j ->
-                if j = i then None
-                else begin
-                  let choice = best_for ~src:i ~dst:j in
-                  Some (j, choice.Best_hop.hop)
-                end)
-              fresh_ranks
+          let delta =
+            Rec_batch.Sent.record sent ~prev:ctx.rec_sent ~client:i (fun j ->
+                (best_for ~src:i ~dst:j).Best_hop.hop)
           in
-          if entries <> [] then begin
-            send_routed t ctx ~now i
-              (Message.Recommend { view = View.version ctx.view; entries });
-            match t.trace with
-            | Some emit ->
-                emit
-                  (Ev.Rec_computed
-                     {
-                       server = ctx.self;
-                       client = i;
-                       view = View.version ctx.view;
-                       entries;
-                     })
-            | None -> ()
-          end)
+          let entries () = Option.get (Rec_batch.Sent.entries sent ~client:i) in
+          send_routed t ctx ~now i
+            (match delta with
+            | Some (base, changed) -> Message.Recommend_delta { view; epoch; base; changed }
+            | None -> Message.Recommend { view; epoch; entries = entries () });
+          match t.trace with
+          | Some emit ->
+              emit (Ev.Rec_computed { server = ctx.self; client = i; view; entries = entries () })
+          | None -> ())
         clients;
+      if t.config.delta_link_state then ctx.rec_sent <- Some sent;
       (* Section 4.2: we hold our clients' tables, so compute routes to
          them locally (does not count as a received recommendation for the
          freshness metrics — only real round-two messages do). *)
@@ -662,36 +667,101 @@ let handle_ls_resync t ~now ~src_port ~view:version ~owner =
           | None -> ()))
   | Some _ | None -> ()
 
-let handle_recommend t ~now ~src_port ~view:version entries =
+(* Apply a batch of recommendations from [server], given as an iterator
+   over its (destination, hop) pairs. *)
+let handle_recommend t ctx ~now ~server iter =
+  let m = View.size ctx.view in
+  iter (fun dst hop ->
+      if dst >= 0 && dst < m && hop >= 0 && hop < m && dst <> ctx.self then begin
+        ctx.route_hop.(dst) <- hop;
+        ctx.route_at.(dst) <- now;
+        ctx.rec_last.(dst) <- now;
+        record_rec ctx server dst ~now;
+        ctx.suspected_dead <- Nodeid.Set.remove dst ctx.suspected_dead;
+        match t.trace with
+        | Some emit ->
+            emit
+              (Ev.Rec_applied
+                 {
+                   node = ctx.self;
+                   server;
+                   dst;
+                   hop;
+                   view = View.version ctx.view;
+                   local = false;
+                 })
+        | None -> ()
+      end)
+
+(* A full batch replaces the one held from its server unless it is older
+   (a reordered packet); one that cannot be a delta's base is not held. *)
+let hold_batch ctx server ~epoch entries =
+  match ctx.rec_held.(server) with
+  | Some held when Rec_batch.epoch held >= epoch -> ()
+  | Some _ | None -> ctx.rec_held.(server) <- Rec_batch.of_entries ~epoch entries
+
+let iter_pairs pairs f = List.iter (fun (dst, hop) -> f dst hop) pairs
+
+(* The pairs a [Recommend] or [Recommend_delta] from [server] stands for,
+   as an iterator: a full batch's own, a delta's rebuilt on the batch we
+   hold from that server, or, when we lack its base, only its changed
+   pairs. *)
+let batch_of t ctx ~now ~server (msg : Message.t) =
+  match msg with
+  | Message.Recommend { epoch; entries; _ } ->
+      if t.config.delta_link_state then hold_batch ctx server ~epoch entries;
+      Some (iter_pairs entries)
+  | Message.Recommend_delta { view; epoch; base; changed } -> (
+      let held = ctx.rec_held.(server) in
+      match Rec_batch.receive ~held ~epoch ~base changed with
+      | `Applied batch ->
+          (match held with
+          | Some h when h == batch -> () (* rewritten in place *)
+          | Some _ | None -> ctx.rec_held.(server) <- Some batch);
+          Some (Rec_batch.iter batch)
+      | `Gap ->
+          (* We lost the batch this delta builds on: its changed pairs
+             are still this tick's routes, so apply them, and ask the
+             server for its whole batch.  A lost request or reply is
+             re-detected by the next delta, as for link state. *)
+          (match t.trace with
+          | Some emit -> emit (Ev.Rec_gap { node = ctx.self; server; view; epoch })
+          | None -> ());
+          send_routed t ctx ~now server (Message.Rec_resync { view; server });
+          Some (iter_pairs (List.filter (fun (_, hop) -> hop <> Rec_batch.dropped) changed))
+      | `Stale | `Malformed -> None)
+  | _ -> None
+
+let receive_recommendation t ~now ~src_port ?(surface = fun _ _ -> ()) (msg : Message.t) =
+  match (t.ctx, msg) with
+  | Some ctx, (Message.Recommend { view; _ } | Message.Recommend_delta { view; _ })
+    when View.version ctx.view = view -> (
+      match View.rank_of_port ctx.view src_port with
+      | Some server -> (
+          match batch_of t ctx ~now ~server msg with
+          | Some iter ->
+              handle_recommend t ctx ~now ~server iter;
+              iter surface
+          | None -> ())
+      | None -> ())
+  | _ -> ()
+
+(* A client lost our batch: resend the one we last sent it, in full and
+   stamped with its own epoch, so our next delta builds on it. *)
+let handle_rec_resync t ~now ~src_port ~view:version ~server =
   match t.ctx with
-  | Some ctx when View.version ctx.view = version -> (
+  | Some ctx when View.version ctx.view = version && server = ctx.self -> (
       match View.rank_of_port ctx.view src_port with
       | None -> ()
-      | Some src_rank ->
-          let m = View.size ctx.view in
-          List.iter
-            (fun (dst, hop) ->
-              if dst >= 0 && dst < m && hop >= 0 && hop < m && dst <> ctx.self then begin
-                ctx.route_hop.(dst) <- hop;
-                ctx.route_at.(dst) <- now;
-                ctx.rec_last.(dst) <- now;
-                record_rec ctx src_rank dst ~now;
-                ctx.suspected_dead <- Nodeid.Set.remove dst ctx.suspected_dead;
-                match t.trace with
-                | Some emit ->
-                    emit
-                      (Ev.Rec_applied
-                         {
-                           node = ctx.self;
-                           server = src_rank;
-                           dst;
-                           hop;
-                           view = version;
-                           local = false;
-                         })
-                | None -> ()
-              end)
-            entries)
+      | Some client -> (
+          match ctx.rec_sent with
+          | Some sent -> (
+              match Rec_batch.Sent.entries sent ~client with
+              | Some entries ->
+                  send_routed t ctx ~now client
+                    (Message.Recommend { view = version; epoch = Rec_batch.Sent.epoch sent; entries })
+              | None -> ())
+          | None -> ()))
   | Some _ | None -> ()
 
 let handle_message t ~now ~src_port msg =
@@ -700,7 +770,8 @@ let handle_message t ~now ~src_port msg =
       handle_link_state t ~now ~view ~epoch snapshot
   | Message.Link_state_delta { view; delta } -> handle_link_state_delta t ~now ~view delta
   | Message.Ls_resync { view; owner } -> handle_ls_resync t ~now ~src_port ~view ~owner
-  | Message.Recommend { view; entries } -> handle_recommend t ~now ~src_port ~view entries
+  | Message.Recommend _ | Message.Recommend_delta _ -> receive_recommendation t ~now ~src_port msg
+  | Message.Rec_resync { view; server } -> handle_rec_resync t ~now ~src_port ~view ~server
   | Message.Probe _ | Message.Probe_reply _ | Message.Join _ | Message.Leave _
   | Message.View _ | Message.Relay _ | Message.Dgram _ | Message.Member _ ->
       ()
@@ -828,13 +899,15 @@ type state_words = {
   cache_words : int;
   rendezvous_words : int;
   routes_words : int;
+  batch_words : int;
 }
 
 let words x = Obj.reachable_words (Obj.repr x)
 
 let state_words t =
   match t.ctx with
-  | None -> { table_words = 0; cache_words = 0; rendezvous_words = 0; routes_words = 0 }
+  | None ->
+      { table_words = 0; cache_words = 0; rendezvous_words = 0; routes_words = 0; batch_words = 0 }
   | Some ctx ->
       let table_words = words ctx.table in
       {
@@ -844,4 +917,5 @@ let state_words t =
         cache_words = words (ctx.table, ctx.cache) - 3 - table_words;
         rendezvous_words = words ctx.slices + words ctx.rec_overflow;
         routes_words = words ctx.route_hop + words ctx.route_at + words ctx.rec_last;
+        batch_words = words ctx.rec_sent + words ctx.rec_held;
       }

@@ -6,7 +6,9 @@
       (grid row/column plus any failover servers in use), and
     + in its rendezvous-server role, sends each client with a fresh table
       (received within [staleness_windows * r]) best-hop recommendations
-      covering every other fresh client, and
+      covering every other fresh client — under [delta_link_state], as
+      the changes since the batch it last sent that client
+      ({!Apor_linkstate.Rec_batch}) — and
     + computes routes locally for destinations whose tables it holds
       (its own clients — Section 4.2's redundancy), and
     + runs failover maintenance: destinations whose default rendezvous
@@ -76,7 +78,24 @@ val set_view : t -> now:float -> View.t -> unit
 val view : t -> View.t option
 
 val handle_message : t -> now:float -> src_port:int -> Message.t -> unit
-(** Feed in [Link_state] and [Recommend] messages; others are ignored. *)
+(** Feed in the routing messages — link-state announcements and their
+    resync requests, recommendation batches and theirs; others are
+    ignored. *)
+
+val receive_recommendation :
+  t ->
+  now:float ->
+  src_port:int ->
+  ?surface:(Nodeid.t -> Nodeid.t -> unit) ->
+  Message.t ->
+  unit
+(** Apply a [Recommend] or [Recommend_delta] from the server at
+    [src_port]: a full batch's entries; for a delta, the full batch
+    rebuilt from the one held from that server, or only its changed pairs
+    when that base is missing (a gap, answered with a [Rec_resync]).
+    Once all are applied, [surface dst hop] is called on each
+    [(destination, hop)] pair, in order.  Nothing happens for a message
+    of another view, a stale or malformed delta, or any other message. *)
 
 val on_peer_death : t -> now:float -> port:int -> unit
 (** Proximal-failure notification from the monitor: runs an immediate
@@ -119,6 +138,9 @@ type state_words = {
       (** connecting slices, their recommendation times and the overflow
           table of failover pairs *)
   routes_words : int;  (** learned routes and per-destination recommendation times *)
+  batch_words : int;
+      (** recommendation batches at wire width: the last one sent to each
+          client and the last one held from each server *)
 }
 
 val state_words : t -> state_words

@@ -118,6 +118,7 @@ let handle_message t ~now ~src_port:_ msg =
           ignore (Table.ingest ctx.table snapshot ~epoch ~now)
       | Some _ | None -> ())
   | Message.Link_state_delta _ | Message.Ls_resync _ | Message.Recommend _
+  | Message.Recommend_delta _ | Message.Rec_resync _
   | Message.Probe _ | Message.Probe_reply _ | Message.Join _
   | Message.Leave _ | Message.View _ | Message.Relay _ | Message.Dgram _
   | Message.Member _ ->

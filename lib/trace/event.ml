@@ -11,6 +11,7 @@ module Kind = struct
     | Ls_gap
     | Rec_computed
     | Rec_applied
+    | Rec_gap
     | Failover_started
     | Failover_stopped
     | View_installed
@@ -32,6 +33,7 @@ module Kind = struct
       Ls_gap;
       Rec_computed;
       Rec_applied;
+      Rec_gap;
       Failover_started;
       Failover_stopped;
       View_installed;
@@ -53,6 +55,7 @@ module Kind = struct
     | Ls_gap -> "ls-gap"
     | Rec_computed -> "rec-computed"
     | Rec_applied -> "rec-applied"
+    | Rec_gap -> "rec-gap"
     | Failover_started -> "failover-started"
     | Failover_stopped -> "failover-stopped"
     | View_installed -> "view-installed"
@@ -89,6 +92,7 @@ type t =
       view : int;
       local : bool;
     }
+  | Rec_gap of { node : Nodeid.t; server : Nodeid.t; view : int; epoch : int }
   | Failover_started of { node : Nodeid.t; dst : Nodeid.t; server : Nodeid.t; view : int }
   | Failover_stopped of { node : Nodeid.t; dst : Nodeid.t; view : int; reason : stop_reason }
   | View_installed of { node : Nodeid.t; view : int; size : int }
@@ -110,6 +114,7 @@ let kind : t -> Kind.t = function
   | Ls_gap _ -> Kind.Ls_gap
   | Rec_computed _ -> Kind.Rec_computed
   | Rec_applied _ -> Kind.Rec_applied
+  | Rec_gap _ -> Kind.Rec_gap
   | Failover_started _ -> Kind.Failover_started
   | Failover_stopped _ -> Kind.Failover_stopped
   | View_installed _ -> Kind.View_installed
@@ -131,6 +136,7 @@ let involves ev id =
   | Ls_gap { node; owner; _ } -> node = id || owner = id
   | Rec_computed { server; client; _ } -> server = id || client = id
   | Rec_applied { node; server; dst; _ } -> node = id || server = id || dst = id
+  | Rec_gap { node; server; _ } -> node = id || server = id
   | Failover_started { node; dst; server; _ } -> node = id || dst = id || server = id
   | Failover_stopped { node; dst; _ } -> node = id || dst = id
   | View_installed { node; _ } -> node = id
@@ -172,6 +178,8 @@ let pp ppf = function
       Format.fprintf ppf "rec-applied(v%d, %d: %d via %d, from %d%s)" view node dst hop
         server
         (if local then ", local" else "")
+  | Rec_gap { node; server; view; epoch } ->
+      Format.fprintf ppf "rec-gap(v%d, %d missed base of %d@%d)" view node server epoch
   | Failover_started { node; dst; server; view } ->
       Format.fprintf ppf "failover-started(v%d, %d: dst %d via %d)" view node dst server
   | Failover_stopped { node; dst; view; reason } ->
@@ -229,6 +237,9 @@ let to_json ev =
       Printf.sprintf
         "%s,\"node\":%d,\"server\":%d,\"dst\":%d,\"hop\":%d,\"view\":%d,\"local\":%b"
         (json_kind ev) node server dst hop view local
+  | Rec_gap { node; server; view; epoch } ->
+      Printf.sprintf "%s,\"node\":%d,\"server\":%d,\"view\":%d,\"epoch\":%d" (json_kind ev)
+        node server view epoch
   | Failover_started { node; dst; server; view } ->
       Printf.sprintf "%s,\"node\":%d,\"dst\":%d,\"server\":%d,\"view\":%d" (json_kind ev)
         node dst server view

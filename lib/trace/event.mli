@@ -26,6 +26,7 @@ module Kind : sig
     | Ls_gap
     | Rec_computed
     | Rec_applied
+    | Rec_gap
     | Failover_started
     | Failover_stopped
     | View_installed
@@ -97,6 +98,12 @@ type t =
     }
       (** [node] installed [hop] as its current route to [dst], on the
           authority of [server]. *)
+  | Rec_gap of { node : Nodeid.t; server : Nodeid.t; view : int; epoch : int }
+      (** [node] received a recommendation delta from rendezvous [server]
+          stamped [epoch] but does not hold the batch it builds on (a lost
+          or reordered batch); it applies the delta's changed pairs and is
+          about to request the full batch.  The oracle counts these
+          ({!Oracle.rec_gaps}). *)
   | Failover_started of { node : Nodeid.t; dst : Nodeid.t; server : Nodeid.t; view : int }
       (** Double rendezvous failure handling: [node] recruited [server]
           as a failover rendezvous for destination [dst]. *)

@@ -27,6 +27,10 @@ type mirror = { mutable mview : int; rows : (Nodeid.t, mirror_row) Hashtbl.t }
    staleness window after that. *)
 type target = { mutable active : int; mutable last_end : float }
 
+(* The newest two batches a server computed for a client, newest first:
+   what the client may be applying from that server. *)
+type computed = { newest : Rec_batch.t; previous : Rec_batch.t option }
+
 (* One user datagram's lifecycle, rebuilt from the data-plane events. *)
 type dgram = { ddst : int; mutable delivered : bool }
 
@@ -39,6 +43,8 @@ type t = {
   mirrors : (Nodeid.t, mirror) Hashtbl.t; (* server rank -> table mirror *)
   episodes : (Nodeid.t * Nodeid.t, Nodeid.t) Hashtbl.t; (* (node, dst) -> server *)
   targets : (Nodeid.t * Nodeid.t, target) Hashtbl.t; (* (node, server) *)
+  computed : (int * Nodeid.t * Nodeid.t, computed) Hashtbl.t; (* (view, server, client) *)
+  mutable computed_view : int; (* newest view in [computed] *)
   bytes : (int, int ref) Hashtbl.t; (* node -> traced bytes in + out *)
   adopted : (int, int) Hashtbl.t; (* port -> last adopted epoch *)
   first_adopt : (int, float) Hashtbl.t; (* epoch -> first adoption time *)
@@ -48,6 +54,7 @@ type t = {
   mutable violations : violation list; (* newest first *)
   mutable recommendations_checked : int;
   mutable applications_checked : int;
+  mutable rec_gaps : int;
 }
 
 let create ?(raise_on_violation = true) ?(slack_s = 5.) ~metric ~staleness_s () =
@@ -61,6 +68,8 @@ let create ?(raise_on_violation = true) ?(slack_s = 5.) ~metric ~staleness_s () 
     mirrors = Hashtbl.create 64;
     episodes = Hashtbl.create 16;
     targets = Hashtbl.create 16;
+    computed = Hashtbl.create 256;
+    computed_view = -1;
     bytes = Hashtbl.create 64;
     adopted = Hashtbl.create 64;
     first_adopt = Hashtbl.create 16;
@@ -70,6 +79,7 @@ let create ?(raise_on_violation = true) ?(slack_s = 5.) ~metric ~staleness_s () 
     violations = [];
     recommendations_checked = 0;
     applications_checked = 0;
+    rec_gaps = 0;
   }
 
 let check_name = function
@@ -95,6 +105,7 @@ let violations_outside t ~windows =
   List.rev (List.filter (fun v -> not (covered v.time)) t.violations)
 let recommendations_checked t = t.recommendations_checked
 let applications_checked t = t.applications_checked
+let rec_gaps t = t.rec_gaps
 
 (* --- table mirrors ------------------------------------------------------ *)
 
@@ -186,6 +197,51 @@ let check_applied t ~now ~node ~server ~dst ~view =
       if not (side_ok t grid ~now ~node ~server) then bad node
       else if not (side_ok t grid ~now ~node:dst ~server) then bad dst
 
+(* --- invariant 2, applied side: recommendation integrity ---------------- *)
+
+(* Batches are kept for the two newest views only: ranks are per view, and
+   a client applies a batch of the view it computed in, within a routing
+   interval or two. *)
+let record_computed t ~server ~client ~view entries =
+  if view > t.computed_view then begin
+    t.computed_view <- view;
+    Hashtbl.filter_map_inplace
+      (fun (v, _, _) c -> if v >= view - 1 then Some c else None)
+      t.computed
+  end;
+  match Rec_batch.of_entries ~epoch:0 (List.sort_uniq compare entries) with
+  | None ->
+      (* two hops for one destination: the optimality check judges it,
+         and this pair's applications go unjudged *)
+      Hashtbl.remove t.computed (view, server, client)
+  | Some batch ->
+      let previous =
+        Option.map (fun c -> c.newest) (Hashtbl.find_opt t.computed (view, server, client))
+      in
+      Hashtbl.replace t.computed (view, server, client) { newest = batch; previous }
+
+(* A remote route a client installs must be one its server computed for
+   it, in one of the server's last two batches: a delta rebuilt on the
+   wrong base would install a stale hop the optimality check never sees.
+   A pair with no recorded batch (an older view) is not judged. *)
+let check_integrity t ~now ~node ~server ~dst ~hop ~view =
+  match Hashtbl.find_opt t.computed (view, server, node) with
+  | None -> ()
+  | Some { newest; previous } ->
+      let holds b = Rec_batch.hop b dst = Some hop in
+      if not (holds newest || Option.fold ~none:false ~some:holds previous) then
+        flag t ~time:now ~check:One_hop_optimality
+          (Printf.sprintf
+             "recommendation integrity: node %d applied %d via %d from server %d, whose last two batches for it say %s"
+             node dst hop server
+             (String.concat " / "
+                (List.map
+                   (fun b ->
+                     match Rec_batch.hop b dst with
+                     | Some h -> string_of_int h
+                     | None -> "nothing")
+                   (newest :: Option.to_list previous))))
+
 (* --- failover bookkeeping ----------------------------------------------- *)
 
 let start_target t node server =
@@ -233,6 +289,7 @@ let observe t (tv : Collector.timed) =
   | Event.Drop _ -> () (* outgoing bytes were accounted by the Send *)
   | Event.Ls_push _ -> ()
   | Event.Ls_gap _ -> () (* nothing was stored; the mirror stays put *)
+  | Event.Rec_gap _ -> t.rec_gaps <- t.rec_gaps + 1
   | Event.View_installed { view; size; _ } ->
       if not (Hashtbl.mem t.grids view) then Hashtbl.add t.grids view (Grid.build size)
   | Event.View_adopted { node; epoch; _ } ->
@@ -249,10 +306,12 @@ let observe t (tv : Collector.timed) =
   | Event.Ls_ingest { node; owner; view; snapshot } ->
       ingest t ~now ~node ~owner ~view snapshot
   | Event.Rec_computed { server; client; view; entries } ->
-      check_entries t ~now ~server ~client ~view entries ~local:false
+      check_entries t ~now ~server ~client ~view entries ~local:false;
+      record_computed t ~server ~client ~view entries
   | Event.Rec_applied { node; server; dst; hop; view; local } ->
       check_applied t ~now ~node ~server ~dst ~view;
-      if local then
+      if not local then check_integrity t ~now ~node ~server ~dst ~hop ~view
+      else
         (* locally-computed route: re-run the same optimality check against
            the node's own mirror *)
         check_entries t ~now ~server:node ~client:node ~view [ (dst, hop) ] ~local:true

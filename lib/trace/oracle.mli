@@ -18,7 +18,14 @@
        against the oracle's own mirror of the rendezvous's table, rebuilt
        event by event from the exact quantized snapshots in [Ls_ingest].
        The protocol's tie-breaking is deterministic, so any divergence is
-       a bug, not noise.}
+       a bug, not noise.  Its applied side is {e recommendation
+       integrity}: every remote route a node installs ([Rec_applied],
+       not local) must be the hop for that destination in one of the last
+       two batches its server computed for it ([Rec_computed], same
+       view), so a client that rebuilds a delta batch on the wrong base
+       is caught even though every batch the server computed was
+       optimal.  Reported under [One_hop_optimality], with a detail that
+       starts "recommendation integrity".}
     {- {b Traffic conservation.}  Bytes accounted by the transport
        (the engine's {!Apor_sim.Traffic} in emulation) equal bytes seen
        in the trace, per node
@@ -98,6 +105,11 @@ val recommendations_checked : t -> int
 
 val applications_checked : t -> int
 (** [Rec_applied] events verified for quorum intersection. *)
+
+val rec_gaps : t -> int
+(** [Rec_gap] events seen: recommendation deltas a client could not
+    rebuild, each answered with a resync request — the resync rate of
+    round two. *)
 
 val check_traffic : t -> n:int -> accounted:(int -> int) -> now:float -> unit
 (** Compare per-node byte totals: transport accounting vs. trace, from

@@ -529,7 +529,8 @@ let test_overhead_sizes () =
   check_int "multihop" (46 + 500) (Overhead.multihop_state_bytes ~n:100);
   check_int "recommendation" (46 + 80) (Overhead.recommendation_message_bytes ~entries:20);
   check_int "delta" (46 + 6 + 50) (Overhead.link_state_delta_bytes ~changes:10);
-  check_int "resync" (46 + 2) Overhead.resync_request_bytes
+  check_int "resync" (46 + 2) Overhead.resync_request_bytes;
+  check_int "recommendation delta" (46 + 8 + 12) (Overhead.recommendation_delta_bytes ~changes:3)
 
 (* --- Table ----------------------------------------------------------------------- *)
 
@@ -598,6 +599,199 @@ let test_table_size_mismatch () =
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
+(* --- Recommendation batches and their deltas --------------------------------- *)
+
+let batch ~epoch entries =
+  match Rec_batch.of_entries ~epoch entries with
+  | Some b -> b
+  | None -> Alcotest.fail "batch rejected"
+
+let test_rec_batch_basics () =
+  let b = batch ~epoch:7 [ (1, 1); (4, 2); (9, 4) ] in
+  check_int "epoch" 7 (Rec_batch.epoch b);
+  check_bool "entries" true (Rec_batch.entries b = [ (1, 1); (4, 2); (9, 4) ]);
+  check_bool "hop found" true (Rec_batch.hop b 4 = Some 2);
+  check_bool "hop absent" true (Rec_batch.hop b 5 = None);
+  check_bool "unsorted rejected" true (Rec_batch.of_entries ~epoch:1 [ (4, 1); (1, 1) ] = None);
+  check_bool "duplicate rejected" true (Rec_batch.of_entries ~epoch:1 [ (4, 1); (4, 2) ] = None);
+  check_bool "negative id rejected" true (Rec_batch.of_entries ~epoch:1 [ (-1, 2) ] = None);
+  check_bool "0xFFFF rejected" true (Rec_batch.of_entries ~epoch:1 [ (3, 0xFFFF) ] = None);
+  let d = Rec_batch.dropped in
+  (* a fresh copy of [b] each time: an applied delta may rewrite it *)
+  let receive ?(held = Some (batch ~epoch:7 [ (1, 1); (4, 2); (9, 4) ])) ~epoch ~base changes =
+    Rec_batch.receive ~held ~epoch ~base changes
+  in
+  (match receive ~epoch:8 ~base:7 [ (4, 3); (6, 6); (9, d) ] with
+  | `Applied b' ->
+      check_int "rebuilt epoch" 8 (Rec_batch.epoch b');
+      check_bool "rebuilt pairs" true (Rec_batch.entries b' = [ (1, 1); (4, 3); (6, 6) ])
+  | _ -> Alcotest.fail "delta on its base not applied");
+  check_bool "duplicate: stale" true (receive ~epoch:7 ~base:6 [] = `Stale);
+  check_bool "older: stale" true (receive ~epoch:5 ~base:4 [] = `Stale);
+  check_bool "missing base: gap" true (receive ~epoch:9 ~base:8 [] = `Gap);
+  (let held = batch ~epoch:7 [ (1, 1); (4, 2); (9, 4) ] in
+   match Rec_batch.receive ~held:(Some held) ~epoch:8 ~base:7 [ (4, 9) ] with
+   | `Applied b' ->
+       check_bool "a move rewrites the held batch in place" true
+         (b' == held && Rec_batch.epoch b' = 8 && Rec_batch.entries b' = [ (1, 1); (4, 9); (9, 4) ])
+   | _ -> Alcotest.fail "move not applied");
+  (match receive ~epoch:9 ~base:4 [] with
+  | `Applied b' -> check_int "held since the base: applied" 9 (Rec_batch.epoch b')
+  | _ -> Alcotest.fail "delta on a batch unchanged since its base not applied");
+  check_bool "nothing held: gap" true (receive ~held:None ~epoch:9 ~base:8 [] = `Gap);
+  check_bool "unsorted changes: malformed" true (receive ~epoch:8 ~base:7 [ (4, 1); (1, 1) ] = `Malformed);
+  check_bool "bad hop: malformed" true (receive ~epoch:8 ~base:7 [ (4, -2) ] = `Malformed)
+
+let test_rec_batch_sent () =
+  let d = Rec_batch.dropped in
+  let sent = Rec_batch.Sent.create ~epoch:5 [ 0; 2; 3; 7 ] in
+  let record ~client hop = Rec_batch.Sent.record sent ~prev:None ~client hop in
+  check_bool "first batch in full" true (record ~client:2 (fun j -> if j = 3 then 7 else j) = None);
+  ignore (record ~client:7 (fun j -> if j = 0 then 3 else j));
+  check_int "epoch of the tick" 5 (Rec_batch.Sent.epoch sent);
+  check_bool "client 2's batch" true
+    (Rec_batch.Sent.entries sent ~client:2 = Some [ (0, 0); (3, 7); (7, 7) ]);
+  check_bool "client 7's batch" true
+    (Rec_batch.Sent.entries sent ~client:7 = Some [ (0, 3); (2, 2); (3, 3) ]);
+  check_bool "unrecorded client" true (Rec_batch.Sent.entries sent ~client:3 = None);
+  check_bool "client outside the tick" true (Rec_batch.Sent.entries sent ~client:4 = None);
+  Alcotest.check_raises "client must be fresh"
+    (Invalid_argument "Rec_batch.Sent.record: client not among the fresh ranks") (fun () ->
+      ignore (record ~client:4 Fun.id));
+  Alcotest.check_raises "hops must fit the wire"
+    (Invalid_argument "Rec_batch.Sent.record: hop outside [0, 0xFFFE]") (fun () ->
+      ignore (record ~client:3 (fun _ -> 0xFFFF)));
+  (* an unchanged batch keeps its base at the epoch it was first sent;
+     the tick after a change bases on the tick that made it *)
+  let prev = ref None in
+  let tick epoch ?(fresh = List.init 10 Fun.id) hop =
+    let t = Rec_batch.Sent.create ~epoch fresh in
+    let sent = Rec_batch.Sent.record t ~prev:!prev ~client:2 hop in
+    prev := Some t;
+    sent
+  in
+  let moved j = if j = 3 then 7 else j in
+  check_bool "first batch in full" true (tick 5 Fun.id = None);
+  check_bool "unchanged: empty delta based on 5" true (tick 6 Fun.id = Some (5, []));
+  check_bool "still unchanged: base stays 5" true (tick 7 Fun.id = Some (5, []));
+  check_bool "a move: the batch at 7 equals the one at 5" true (tick 8 moved = Some (5, [ (3, 7) ]));
+  check_bool "after the move: base 8" true (tick 9 moved = Some (8, []));
+  check_bool "moved, added and dropped" true
+    (tick 10 ~fresh:(List.init 9 Fun.id @ [ 11 ]) Fun.id = Some (8, [ (3, 3); (9, d); (11, 11) ]));
+  check_bool "no smaller than the full batch: in full" true
+    (tick 11 ~fresh:[ 0; 2; 4; 6 ] (fun j -> j + 1) = None)
+
+(* One server and one client over a channel that drops, duplicates and
+   reorders, run with the server's [Sent.record] choice and the client's
+   [receive] exactly as the router uses them.  After every
+   delivery the client's batch is the server's batch of that epoch, and a
+   newer delta it cannot rebuild has sent a resync; once the channel turns
+   lossless, the client holds the server's latest batch. *)
+type rec_packet =
+  | Full of { epoch : int; entries : (int * int) list }
+  | Delta of { epoch : int; base : int; changed : (int * int) list }
+
+let rec_delta_channel =
+  QCheck.Test.make ~name:"recommendation deltas survive drops, duplicates and reordering"
+    ~count:300
+    QCheck.(pair (int_range 1 40) int)
+    (fun (rounds, seed) ->
+      let rng = Apor_util.Rng.make ~seed in
+      let client = 0 and ranks = 10 in
+      let history = Hashtbl.create 64 (* epoch -> entries sent to the client *) in
+      let sent = ref None and hops = Array.init ranks Fun.id in
+      let held = ref None and ok = ref true in
+      let to_client = ref [] and to_server = ref 0 in
+      let server_round ~epoch ~include_client =
+        let fresh =
+          List.filter
+            (fun r ->
+              if r = client then include_client else Apor_util.Rng.bernoulli rng ~p:0.9)
+            (List.init ranks Fun.id)
+        in
+        Array.iteri
+          (fun j _ -> if Apor_util.Rng.bernoulli rng ~p:0.1 then hops.(j) <- Apor_util.Rng.int rng ranks)
+          hops;
+        let tick = Rec_batch.Sent.create ~epoch fresh in
+        if include_client then begin
+          let delta = Rec_batch.Sent.record tick ~prev:!sent ~client (fun j -> hops.(j)) in
+          let entries = Option.get (Rec_batch.Sent.entries tick ~client) in
+          let packet =
+            match delta with
+            | Some (base, changed) -> Delta { epoch; base; changed }
+            | None -> Full { epoch; entries }
+          in
+          Hashtbl.replace history epoch entries;
+          to_client := !to_client @ [ packet ]
+        end;
+        sent := Some tick
+      in
+      let held_epoch () = Option.fold ~none:(-1) ~some:Rec_batch.epoch !held in
+      let deliver packet =
+        let before = held_epoch () in
+        let resynced = ref false in
+        (match packet with
+        | Full { epoch; entries } ->
+            if epoch > before then held := Rec_batch.of_entries ~epoch entries
+        | Delta { epoch; base; changed } -> (
+            match Rec_batch.receive ~held:!held ~epoch ~base changed with
+            | `Applied b -> held := Some b
+            | `Gap ->
+                incr to_server;
+                resynced := true
+            | `Stale -> ()
+            | `Malformed -> ok := false));
+        let epoch = match packet with Full { epoch; _ } | Delta { epoch; _ } -> epoch in
+        let consistent =
+          match !held with
+          | Some b -> Hashtbl.find_opt history (Rec_batch.epoch b) = Some (Rec_batch.entries b)
+          | None -> true
+        in
+        if not (consistent && (epoch <= before || held_epoch () = epoch || !resynced)) then
+          ok := false
+      in
+      let answer_resync () =
+        decr to_server;
+        match !sent with
+        | Some tick -> (
+            match Rec_batch.Sent.entries tick ~client with
+            | Some entries -> to_client := !to_client @ [ Full { epoch = Rec_batch.Sent.epoch tick; entries } ]
+            | None -> ())
+        | None -> ()
+      in
+      let take i =
+        let p = List.nth !to_client i in
+        to_client := List.filteri (fun j _ -> j <> i) !to_client;
+        p
+      in
+      for round = 1 to rounds do
+        server_round ~epoch:(100 + round) ~include_client:(Apor_util.Rng.bernoulli rng ~p:0.9);
+        for _ = 1 to Apor_util.Rng.int rng 4 do
+          if !to_server > 0 && Apor_util.Rng.bernoulli rng ~p:0.5 then
+            if Apor_util.Rng.bernoulli rng ~p:0.3 then decr to_server else answer_resync ()
+          else if !to_client <> [] then begin
+            let i = Apor_util.Rng.int rng (List.length !to_client) in
+            match Apor_util.Rng.int rng 10 with
+            | 0 | 1 -> ignore (take i : rec_packet) (* dropped *)
+            | 2 -> deliver (List.nth !to_client i) (* duplicated: a copy stays in flight *)
+            | _ -> deliver (take i)
+          end
+        done
+      done;
+      (* The network heals: one more round, then everything in flight
+         arrives and every resync is answered. *)
+      let flush () =
+        while !to_client <> [] || !to_server > 0 do
+          if !to_server > 0 then answer_resync () else deliver (take 0)
+        done
+      in
+      flush ();
+      server_round ~epoch:(101 + rounds) ~include_client:true;
+      flush ();
+      !ok
+      && Option.map Rec_batch.entries !held = Hashtbl.find_opt history (101 + rounds)
+      && held_epoch () = 101 + rounds)
+
 let () =
   Alcotest.run "apor_linkstate"
     [
@@ -647,6 +841,12 @@ let () =
           qcheck snapshot_diff_roundtrip;
           qcheck delta_wire_roundtrip;
           qcheck delta_sequence_converges;
+        ] );
+      ( "recdelta",
+        [
+          Alcotest.test_case "batches, deltas and statuses" `Quick test_rec_batch_basics;
+          Alcotest.test_case "one tick's batches" `Quick test_rec_batch_sent;
+          qcheck rec_delta_channel;
         ] );
       ("overhead", [ Alcotest.test_case "sizes" `Quick test_overhead_sizes ]);
       ( "table",

@@ -79,9 +79,21 @@ let gen_message =
          let* owner = small_port in
          return (Message.Ls_resync { view; owner }));
         (let* view = int_range 0 1000 in
+         let* epoch = int_range 0 0xFFFFFFFF in
          let* k = int_range 0 8 in
          let* entries = list_repeat k (pair small_port small_port) in
-         return (Message.Recommend { view; entries }));
+         return (Message.Recommend { view; epoch; entries }));
+        (let* view = int_range 0 1000 in
+         let* epoch = int_range 0 0xFFFFFFFF in
+         let* base = int_range 0 0xFFFFFFFF in
+         let* k = int_range 0 8 in
+         let* changed =
+           list_repeat k (pair small_port (oneof [ small_port; return Rec_batch.dropped ]))
+         in
+         return (Message.Recommend_delta { view; epoch; base; changed }));
+        (let* view = int_range 0 1000 in
+         let* server = small_port in
+         return (Message.Rec_resync { view; server }));
         (let* port = small_port in
          return (Message.Join { port }));
         (let* port = small_port in
@@ -132,7 +144,19 @@ let test_codec_edge_cases () =
     Snapshot.create ~owner:0 [| Entry.self; Entry.quantize (Entry.make ~latency_ms:42. ~loss:0.1 ~alive:true) |]
   in
   check_roundtrip (Message.Link_state { view = 0xFFFFFFFF; epoch = 0xFFFFFFFF; snapshot });
-  check_roundtrip (Message.Recommend { view = 0; entries = [] });
+  check_roundtrip (Message.Recommend { view = 0; epoch = 0; entries = [] });
+  (* an empty delta is a header-only reaffirmation; hops up to 0xFFFE
+     travel as themselves, a drop as 0xFFFF *)
+  check_roundtrip (Message.Recommend_delta { view = 3; epoch = 0xFFFFFFFF; base = 7; changed = [] });
+  check_roundtrip
+    (Message.Recommend_delta
+       { view = 3; epoch = 9; base = 8; changed = [ (1, 0xFFFE); (4, Rec_batch.dropped) ] });
+  (match
+     Message.encode
+       (Message.Recommend_delta { view = 3; epoch = 9; base = 8; changed = [ (1, 0xFFFF) ] })
+   with
+  | _ -> Alcotest.fail "hop 0xFFFF encoded, though it marks a drop"
+  | exception Invalid_argument _ -> ());
   check_roundtrip (Message.View { version = 1; members = [] });
   check_roundtrip
     (Message.Relay
@@ -186,7 +210,7 @@ let gen_script =
           (let* src_port = port in
            let* k = int_range 0 4 in
            let* entries = list_repeat k (pair port port) in
-           return (Node_core.Deliver { src_port; msg = Message.Recommend { view = 1; entries } }));
+           return (Node_core.Deliver { src_port; msg = Message.Recommend { view = 1; epoch = 0; entries } }));
           (let* src_port = port in
            let* dst = port in
            let* id = int_range 0 1000 in
@@ -257,7 +281,8 @@ let rec copy_message (m : Message.t) =
   | Message.Relay { origin; target; inner } ->
       Message.Relay { origin; target; inner = copy_message inner }
   | Message.Probe _ | Message.Probe_reply _ | Message.Link_state_delta _
-  | Message.Ls_resync _ | Message.Recommend _ | Message.Join _ | Message.Leave _
+  | Message.Ls_resync _ | Message.Recommend _ | Message.Recommend_delta _
+  | Message.Rec_resync _ | Message.Join _ | Message.Leave _
   | Message.View _ | Message.Dgram _ | Message.Member _ ->
       m
 
@@ -350,7 +375,9 @@ let test_frame_roundtrip () =
   let msgs =
     [
       Message.Probe { seq = 0 };
-      Message.Recommend { view = 1; entries = [ (0, 1); (2, 2) ] };
+      Message.Recommend { view = 1; epoch = 0; entries = [ (0, 1); (2, 2) ] };
+      Message.Recommend_delta { view = 1; epoch = 5; base = 4; changed = [ (2, Rec_batch.dropped) ] };
+      Message.Rec_resync { view = 1; server = 3 };
       Message.Dgram dgram;
     ]
   in

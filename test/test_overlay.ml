@@ -65,7 +65,15 @@ let test_message_sizes () =
   check_int "resync" (46 + 2)
     (Message.size_bytes (Message.Ls_resync { view = 1; owner = 3 }));
   check_int "recommend" (46 + 40)
-    (Message.size_bytes (Message.Recommend { view = 1; entries = List.init 10 (fun i -> (i, i)) }));
+    (Message.size_bytes
+       (Message.Recommend { view = 1; epoch = 0; entries = List.init 10 (fun i -> (i, i)) }));
+  check_int "recommend delta" (46 + 8 + 8)
+    (Message.size_bytes
+       (Message.Recommend_delta { view = 1; epoch = 2; base = 1; changed = [ (3, 4); (5, -1) ] }));
+  check_int "empty recommend delta" (46 + 8)
+    (Message.size_bytes (Message.Recommend_delta { view = 1; epoch = 2; base = 1; changed = [] }));
+  check_int "rec resync" (46 + 2)
+    (Message.size_bytes (Message.Rec_resync { view = 1; server = 3 }));
   check_int "view" (46 + 4 + 20)
     (Message.size_bytes (Message.View { version = 1; members = List.init 10 Fun.id }))
 
@@ -90,12 +98,12 @@ let test_view_rejects_empty () =
 (* --- Monitor (driven through a tiny overlay) --------------------------------------- *)
 
 (* 3-node cluster helper with controllable network *)
-let small_cluster ?(config = Config.quorum_default) ?(n = 3) ?(seed = 11) () =
+let small_cluster ?(config = Config.quorum_default) ?(n = 3) ?(seed = 11) ?trace () =
   let rtt = Array.make_matrix n n 40. in
   for i = 0 to n - 1 do
     rtt.(i).(i) <- 0.
   done;
-  Cluster.create ~config ~rtt_ms:rtt ~seed ()
+  Cluster.create ~config ~rtt_ms:rtt ?trace ~seed ()
 
 let test_monitor_measures_latency () =
   let c = small_cluster () in
@@ -572,7 +580,7 @@ let test_stale_view_messages_discarded () =
   (* fabricate a recommendation from a different membership view claiming a
      bogus hop; it must be ignored *)
   Node.handle_message node0 ~src_port:2
-    (Message.Recommend { view = 999; entries = [ (8, 3) ] });
+    (Message.Recommend { view = 999; epoch = 0; entries = [ (8, 3) ] });
   Alcotest.(check (option int)) "stale view ignored" route_before
     (Node.best_hop node0 ~dst_port:8);
   (* same for link state of the wrong size *)
@@ -593,7 +601,7 @@ let test_out_of_range_recommendation_ignored () =
   let node0 = Cluster.node c 0 in
   let route_before = Node.best_hop node0 ~dst_port:8 in
   Node.handle_message node0 ~src_port:2
-    (Message.Recommend { view = 1; entries = [ (700, 3); (8, 900); (-1, 2) ] });
+    (Message.Recommend { view = 1; epoch = 0; entries = [ (700, 3); (8, 900); (-1, 2) ] });
   Alcotest.(check (option int)) "garbage entries ignored" route_before
     (Node.best_hop node0 ~dst_port:8)
 
@@ -640,7 +648,7 @@ let bare_router ~m ~self =
   (r, monitor)
 
 let recommend r ~now ~src entries =
-  Router.handle_message r ~now ~src_port:src (Message.Recommend { view = 1; entries })
+  Router.handle_message r ~now ~src_port:src (Message.Recommend { view = 1; epoch = 0; entries })
 
 (* On the 3x3 grid node 0 reaches 8 only through the crossing cells 2 and
    6.  With both dead, 8 gets a failover server from its own row and
@@ -773,6 +781,213 @@ let test_router_state_words () =
             ((3 * n) + 8)
   done
 
+(* --- Delta recommendations ---------------------------------------------------------- *)
+
+(* On a static, lossless network with constant RTTs nothing a batch holds
+   ever changes, so once every server has sent every client a batch, each
+   later one is a header-only reaffirmation. *)
+let test_static_batches_reaffirm () =
+  let c = small_cluster ~n:16 () in
+  let sent = ref [] in
+  for port = 0 to 15 do
+    Runtime.set_tap
+      (Node.runtime (Cluster.node c port))
+      (Some
+         (fun now _ outputs ->
+           List.iter
+             (function
+               | Node_core.Send
+                   {
+                     dst_port;
+                     msg = (Message.Recommend _ | Message.Recommend_delta _ | Message.Rec_resync _) as msg;
+                   }
+                 when now >= 150. ->
+                   sent := (now, port, dst_port, msg) :: !sent
+               | _ -> ())
+             outputs))
+  done;
+  Cluster.start c;
+  Cluster.run_until c 300.;
+  check_bool (Printf.sprintf "batches sent (%d)" (List.length !sent)) true (List.length !sent > 500);
+  List.iter
+    (fun (now, src, dst, msg) ->
+      match msg with
+      | Message.Recommend_delta { changed = []; _ } -> ()
+      | msg ->
+          Alcotest.failf "t=%.3f %d->%d sent %a, not an empty reaffirmation" now src dst Message.pp
+            msg)
+    !sent
+
+(* With no loss, a client rebuilding delta batches applies exactly what
+   full batches would have given it: the same routes, at the same
+   instants, from the same servers, and the same [Node_core.Recommend]
+   outputs.  [Config.full_table] sends every batch in full (and full
+   snapshots, which on a lossless network fill the same tables); RTTs
+   that move mid-run make the deltas carry changes. *)
+let test_lossless_deltas_apply_full_batches () =
+  let n = 16 in
+  let run config =
+    let tr = Apor_trace.Collector.create () in
+    let applied = ref [] and deltas = ref 0 in
+    Apor_trace.Collector.subscribe tr (fun tv ->
+        match tv.Apor_trace.Collector.event with
+        | Apor_trace.Event.Rec_applied { local = false; _ } as ev ->
+            applied := (tv.Apor_trace.Collector.time, ev) :: !applied
+        | _ -> ());
+    let c = Cluster.create ~config ~rtt_ms:(test_matrix ~seed:5 n) ~trace:tr ~seed:11 () in
+    let surfaced = ref [] in
+    for port = 0 to n - 1 do
+      Runtime.set_tap
+        (Node.runtime (Cluster.node c port))
+        (Some
+           (fun now _ outputs ->
+             List.iter
+               (function
+                 | Node_core.Recommend { server_port; dst_port; hop_port } ->
+                     surfaced := (now, port, server_port, dst_port, hop_port) :: !surfaced
+                 | Node_core.Send { msg = Message.Recommend_delta { changed = _ :: _; _ }; _ } ->
+                     incr deltas
+                 | _ -> ())
+               outputs))
+    done;
+    Cluster.start c;
+    List.iter
+      (fun (at, i, j) ->
+        Cluster.run_until c at;
+        let net = Cluster.network c in
+        Network.set_rtt_ms net i j (3. *. Network.rtt_ms net i j);
+        Network.set_rtt_ms net j i (Network.rtt_ms net i j))
+      [ (150., 0, 5); (200., 3, 12); (250., 7, 9) ];
+    Cluster.run_until c 400.;
+    (List.rev !applied, List.rev !surfaced, !deltas)
+  in
+  let applied, surfaced, deltas = run Config.quorum_default in
+  let applied_full, surfaced_full, _ = run (Config.full_table Config.quorum_default) in
+  check_bool (Printf.sprintf "deltas carried changes (%d)" deltas) true (deltas > 10);
+  check_bool "non-trivial" true (List.length applied > 1000);
+  check_bool "same Rec_applied stream" true (applied = applied_full);
+  check_bool "same Recommend outputs" true (surfaced = surfaced_full)
+
+(* Drop deltas from server 1 to client 0 and watch the client recover,
+   with the oracle (integrity check included) watching the whole run.
+   A lost delta that changed nothing costs nothing: the next one builds
+   on the batch the server has sent unchanged since, which the client
+   still holds.  A lost delta that moved a hop leaves the client short
+   of the next delta's base: it reports a gap and asks for the whole
+   batch, and must hold the server's batch again one routing interval
+   plus one RTT after the lost delta would have arrived. *)
+let test_dropped_rec_delta_heals () =
+  let server = 1 and client = 0 and r = Config.quorum_default.Config.routing_interval_s in
+  let rtt = 0.040 in
+  let tr = Apor_trace.Collector.create () in
+  let oracle =
+    Apor_trace.Oracle.create ~metric:Config.quorum_default.Config.metric
+      ~staleness_s:(Config.staleness_s Config.quorum_default) ()
+  in
+  Apor_trace.Oracle.attach oracle tr;
+  let gaps = ref [] and computed = ref [] and applied = ref [] in
+  Apor_trace.Collector.subscribe tr (fun tv ->
+      let time = tv.Apor_trace.Collector.time in
+      match tv.Apor_trace.Collector.event with
+      | Apor_trace.Event.Rec_gap { node; server = k; _ } when node = client && k = server ->
+          gaps := time :: !gaps
+      | Apor_trace.Event.Rec_computed { server = k; client = i; entries; _ }
+        when k = server && i = client ->
+          computed := (time, entries) :: !computed
+      | Apor_trace.Event.Rec_applied { node; server = k; dst; hop; local = false; _ }
+        when node = client && k = server ->
+          applied := (time, (dst, hop)) :: !applied
+      | _ -> ());
+  let c = small_cluster ~n:16 ~trace:tr () in
+  let net = Cluster.network c and engine = Cluster.engine c in
+  (* The server's runtime tap sees a tick's outputs before the engine
+     sends them: [armed] counts the sends to the client that precede the
+     first delta [drop] selects, and the engine tap cuts the link for that
+     one packet. *)
+  let drop = ref (fun _ -> false) and armed = ref None and dropped_at = ref None in
+  Runtime.set_tap
+    (Node.runtime (Cluster.node c server))
+    (Some
+       (fun _ _ outputs ->
+         let rec find skip = function
+           | Node_core.Send { dst_port; msg } :: _ when dst_port = client && !drop msg ->
+               armed := Some skip
+           | Node_core.Send { dst_port; _ } :: rest when dst_port = client -> find (skip + 1) rest
+           | _ :: rest -> find skip rest
+           | [] -> ()
+         in
+         if !dropped_at = None then find 0 outputs));
+  Engine.set_tap engine
+    (Some
+       {
+         Engine.on_send =
+           (fun ~cls:_ ~src ~dst ~bytes:_ ->
+             if src = server && dst = client then
+               match !armed with
+               | Some 0 ->
+                   armed := None;
+                   dropped_at := Some (Engine.now engine);
+                   Network.set_link_up net server client false
+               | Some k -> armed := Some (k - 1)
+               | None -> ());
+         on_deliver = (fun ~cls:_ ~src:_ ~dst:_ ~bytes:_ -> ());
+         on_drop =
+           (fun ~cls:_ ~src ~dst ~bytes:_ ->
+             if src = server && dst = client then Network.set_link_up net server client true);
+       });
+  let rec drop_next pred ~until =
+    drop := pred;
+    dropped_at := None;
+    Cluster.run_until c (Cluster.now c +. 0.1);
+    match !dropped_at with
+    | Some t -> t
+    | None when Cluster.now c < until -> drop_next pred ~until
+    | None -> Alcotest.fail "no delta dropped"
+  in
+  let applied_after t = List.filter (fun (t', _) -> t' > t) !applied in
+  let latest () = match !computed with (_, e) :: _ -> e | [] -> Alcotest.fail "no batch computed" in
+  Cluster.start c;
+  Cluster.run_until c 200.;
+  (* an empty reaffirmation, lost *)
+  let t_drop =
+    drop_next
+      (function Message.Recommend_delta { changed = []; _ } -> true | _ -> false)
+      ~until:220.
+  in
+  Cluster.run_until c (t_drop +. (rtt /. 2.) +. r +. 1e-6);
+  check_int "no gap after a lost reaffirmation" 0 (List.length !gaps);
+  check_int "the next delta applied in full" (List.length (latest ()))
+    (List.length (applied_after (t_drop +. 1.)));
+  (* the direct path 0-5 slows down, so the server moves 0's hop to 5;
+     lose the delta that carries the move *)
+  Network.set_rtt_ms net 0 5 200.;
+  Network.set_rtt_ms net 5 0 200.;
+  let t_drop =
+    drop_next
+      (function Message.Recommend_delta { changed = _ :: _; _ } -> true | _ -> false)
+      ~until:400.
+  in
+  let deadline = t_drop +. (rtt /. 2.) +. r +. rtt +. 1e-6 in
+  Cluster.run_until c deadline;
+  (match !gaps with
+  | [ t ] ->
+      check_bool (Printf.sprintf "gap at %.3f, one interval after the drop at %.3f" t t_drop) true
+        (t > t_drop +. r && t < deadline)
+  | gaps -> Alcotest.failf "%d gaps by the deadline, expected 1" (List.length gaps));
+  let latest = latest () in
+  let healed_at = match !applied with (t, _) :: _ -> t | [] -> Alcotest.fail "nothing applied" in
+  let healed = List.filter_map (fun (t, e) -> if t = healed_at then Some e else None) !applied in
+  check_bool
+    (Printf.sprintf "the whole batch re-applied at %.3f, by %.3f" healed_at deadline)
+    true
+    (healed_at > t_drop +. r && List.sort compare healed = List.sort compare latest);
+  (* the next delta builds on the resent batch *)
+  Cluster.run_until c (deadline +. r);
+  check_int "no second gap" 1 (List.length !gaps);
+  check_int "next delta applied in full" (List.length latest)
+    (List.length (applied_after deadline));
+  check_int "oracle" 0 (Apor_trace.Oracle.violation_count oracle)
+
 let () =
   Alcotest.run "apor_overlay"
     [
@@ -844,5 +1059,12 @@ let () =
             test_router_failover_silent_server_replaced;
           QCheck_alcotest.to_alcotest rec_model_qcheck;
           Alcotest.test_case "state words linear in n" `Quick test_router_state_words;
+        ] );
+      ( "rec-delta",
+        [
+          Alcotest.test_case "static batches reaffirm" `Quick test_static_batches_reaffirm;
+          Alcotest.test_case "lossless deltas apply full batches" `Quick
+            test_lossless_deltas_apply_full_batches;
+          Alcotest.test_case "dropped delta heals" `Quick test_dropped_rec_delta_heals;
         ] );
     ]

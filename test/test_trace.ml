@@ -228,6 +228,44 @@ let test_oracle_failover_grace () =
   feed oracle [ applied (20. +. staleness_s +. 10.) ];
   check_int "stale failover server flagged again" 2 (Oracle.violation_count oracle)
 
+let test_oracle_recommendation_integrity () =
+  (* 3x3 grid: server 2 serves both 0 and 8.  Node 0 may install a hop
+     from either of the last two batches 2 computed for it, and no other;
+     a batch for another client says nothing about node 0. *)
+  let oracle = Oracle.create ~raise_on_violation:false ~metric ~staleness_s () in
+  let computed time entries =
+    (time, Event.Rec_computed { server = 2; client = 0; view = 1; entries })
+  in
+  let applied time hop =
+    (time, Event.Rec_applied { node = 0; server = 2; dst = 8; hop; view = 1; local = false })
+  in
+  feed oracle
+    (List.init 9 (fun node -> (0., Event.View_installed { node; view = 1; size = 9 })));
+  feed oracle [ applied 1. 5 ];
+  check_int "no batch recorded: not judged" 0 (Oracle.violation_count oracle);
+  feed oracle
+    [
+      computed 2. [ (1, 1); (8, 4) ];
+      (2., Event.Rec_computed { server = 2; client = 6; view = 1; entries = [ (8, 7) ] });
+      applied 2.1 4;
+    ];
+  check_int "hop of the newest batch accepted" 0 (Oracle.violation_count oracle);
+  feed oracle [ applied 2.2 7 ];
+  check_int "hop of another client's batch flagged" 1 (Oracle.violation_count oracle);
+  feed oracle [ computed 3. [ (1, 1); (8, 5) ]; applied 3.1 4; applied 3.2 5 ];
+  check_int "previous batch still accepted" 1 (Oracle.violation_count oracle);
+  feed oracle [ computed 4. [ (1, 1); (8, 6) ]; applied 4.1 4 ];
+  check_int "older batches flagged" 2 (Oracle.violation_count oracle);
+  check_bool "flagged as integrity" true
+    (List.for_all
+       (fun v ->
+         v.Oracle.check = Oracle.One_hop_optimality
+         && String.length v.Oracle.detail > 24
+         && String.sub v.Oracle.detail 0 24 = "recommendation integrity")
+       (Oracle.violations oracle));
+  feed oracle [ (5., Event.Rec_gap { node = 0; server = 2; view = 1; epoch = 9 }) ];
+  check_int "gaps counted" 1 (Oracle.rec_gaps oracle)
+
 let test_oracle_violations_outside () =
   (* same invalid application as the failover test, at two times; the
      window filter must excuse exactly the covered one *)
@@ -481,6 +519,8 @@ let () =
           Alcotest.test_case "failover grace window" `Quick test_oracle_failover_grace;
           Alcotest.test_case "violations outside windows" `Quick
             test_oracle_violations_outside;
+          Alcotest.test_case "recommendation integrity" `Quick
+            test_oracle_recommendation_integrity;
           Alcotest.test_case "traffic conservation" `Quick
             test_traffic_conservation_synthetic;
         ] );
