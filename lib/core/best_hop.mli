@@ -85,9 +85,13 @@ val best_rows : Metric.t -> src:Snapshot.t -> dst:Snapshot.t -> choice
     batches), or an O(cap) walk that repairs each cached pair in
     O(changes), O(n) when the incumbent hop got worse.
 
-    {b Contract.} Whoever changes a held row must say so: {!set_row} when
-    the row is replaced wholesale, {!update_row} when it changed in place
-    or was replaced by a copy differing at known ids. *)
+    {b Contract.} Whoever changes a held row must say so for every cell
+    its metric reads: {!set_row} when the row is replaced wholesale,
+    {!update_row} when it changed in place or was replaced by a copy
+    differing at known ids.  A change the metric cannot see — a loss
+    byte under [Latency] — may go untold, even when the row was replaced
+    by a copy: the cache then reads the held snapshot, whose cells agree
+    with the new row in every field the metric reads. *)
 module Cache : sig
   type t
 

@@ -18,12 +18,7 @@ type report = {
 let conservation_count oracle =
   List.length
     (List.filter
-       (fun (v : Oracle.violation) ->
-         match v.Oracle.check with
-         | Oracle.Traffic_conservation | Oracle.Datagram_conservation -> true
-         | Oracle.Quorum_intersection | Oracle.One_hop_optimality
-         | Oracle.View_agreement ->
-             false)
+       (fun (v : Oracle.violation) -> Oracle.is_conservation v.Oracle.check)
        (Oracle.violations oracle))
 
 let observe config =

@@ -134,18 +134,28 @@ let with_entries t changes =
   next
 
 (* Runs once per node per routing tick over the whole row — compare the
-   3-byte cells directly and allocate entries only for actual changes. *)
-let diff ~prev ~next =
-  if prev.owner <> next.owner then invalid_arg "Snapshot.diff: owners differ";
-  if size prev <> size next then invalid_arg "Snapshot.diff: sizes differ";
-  let acc = ref [] in
+   3-byte cells directly and allocate entries only for actual changes.
+   Under [Latency] the loss byte is never read: canonical dead cells make
+   the latency field alone decide liveness too.  The churn count rides in
+   the same pass. *)
+let diff_and_churn ~metric ~prev ~last ~next =
+  if prev.owner <> next.owner || last.owner <> next.owner then
+    invalid_arg "Snapshot.diff: owners differ";
+  if size prev <> size next || size last <> size next then
+    invalid_arg "Snapshot.diff: sizes differ";
+  let loss_read = match metric with Metric.Latency -> false | Metric.Loss_sensitive _ -> true in
+  let acc = ref [] and churn = ref 0 in
   for j = size prev - 1 downto 0 do
     if
       latency_at prev.cells j <> latency_at next.cells j
-      || loss_at prev.cells j <> loss_at next.cells j
-    then acc := (j, entry next j) :: !acc
+      || (loss_read && loss_at prev.cells j <> loss_at next.cells j)
+    then acc := (j, entry next j) :: !acc;
+    if latency_at last.cells j <> latency_at next.cells j || loss_at last.cells j <> loss_at next.cells j
+    then incr churn
   done;
-  !acc
+  (!acc, !churn)
+
+let diff ~metric ~prev ~next = fst (diff_and_churn ~metric ~prev ~last:prev ~next)
 
 let equal a b = a.owner = b.owner && Bytes.equal a.cells b.cells
 

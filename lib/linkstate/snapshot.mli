@@ -91,10 +91,23 @@ val with_entries : t -> (Nodeid.t * Entry.t) list -> t
     applies a {!Wire.Delta} to its stored copy of a row.
     @raise Invalid_argument for an out-of-range id. *)
 
-val diff : prev:t -> next:t -> (Nodeid.t * Entry.t) list
-(** Entries of [next] that differ from [prev], ascending by id; the change
-    list a delta announcement carries.  [with_entries prev (diff ~prev
-    ~next)] equals [next].
+val diff : metric:Metric.t -> prev:t -> next:t -> (Nodeid.t * Entry.t) list
+(** Entries of [next] whose cell differs from [prev]'s in a field [metric]
+    reads, ascending by id; the change list a delta announcement carries.
+    [Latency] reads the 16-bit latency alone (dead cells are canonical, so
+    a liveness flip always differs there); [Loss_sensitive] reads the
+    whole cell.  Under [Loss_sensitive], [with_entries prev (diff ~metric
+    ~prev ~next)] equals [next]; under [Latency] it equals [next] in every
+    latency and liveness, and [prev] in the loss byte of every cell whose
+    latency did not change.
+    @raise Invalid_argument when owners or sizes differ. *)
+
+val diff_and_churn :
+  metric:Metric.t -> prev:t -> last:t -> next:t -> (Nodeid.t * Entry.t) list * int
+(** [(diff ~metric ~prev ~next, churn)] in one pass over the row, where
+    [churn] counts the cells in which [next] differs from [last] in any
+    field — how much a measured row moved since the previous one, whatever
+    the metric reads.
     @raise Invalid_argument when owners or sizes differ. *)
 
 val equal : t -> t -> bool

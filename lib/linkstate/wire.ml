@@ -81,8 +81,8 @@ module Delta = struct
 
   let payload_bytes t = header_bytes + (change_bytes * List.length t.changes)
 
-  let of_snapshots ~epoch ~prev ~next =
-    { owner = Snapshot.owner next; epoch; changes = Snapshot.diff ~prev ~next }
+  let of_snapshots ~metric ~epoch ~prev ~next =
+    { owner = Snapshot.owner next; epoch; changes = Snapshot.diff ~metric ~prev ~next }
 
   let apply t snapshot =
     if Snapshot.owner snapshot <> t.owner then

@@ -58,10 +58,16 @@ module Delta : sig
   (** 5: a 16-bit id plus one 3-byte entry. *)
 
   val payload_bytes : t -> int
-  (** [6 + 5 * changes] — compare against [3 * n] to decide delta vs full. *)
+  (** [6 + 5 * changes]; a whole-cell delta of that size against the [3 * n]
+      bytes of a snapshot decides delta vs full. *)
 
-  val of_snapshots : epoch:int -> prev:Snapshot.t -> next:Snapshot.t -> t
-  (** The delta advancing [prev] (epoch [epoch - 1]) to [next] ([epoch]).
+  val of_snapshots :
+    metric:Metric.t -> epoch:int -> prev:Snapshot.t -> next:Snapshot.t -> t
+  (** The delta advancing [prev] (epoch [epoch - 1]) by the cells of
+      [next] that differ in a field [metric] reads ({!Snapshot.diff}).
+      [apply] of it to [prev] is [next] under [Loss_sensitive], and the
+      row announced at [epoch] under [Latency]: [next]'s latencies, with
+      [prev]'s loss byte wherever the latency did not move.
       @raise Invalid_argument when the snapshots' owners or sizes differ. *)
 
   val apply : t -> Snapshot.t -> Snapshot.t

@@ -48,10 +48,13 @@ type ctx = {
   (* Delta announcement state (all per-view, like everything else here).
      [announce_epoch] stamps the next announcement; [last_announced] is the
      snapshot of the previous one — the base receivers hold our deltas
-     against; [last_sent] remembers, per rendezvous server, the last epoch
-     we sent it, so we only delta-encode against a base the server has. *)
+     against — and [last_measured] the row measured then, which picks the
+     next announcement's form; [last_sent] remembers, per rendezvous
+     server, the last epoch we sent it, so we only delta-encode against a
+     base the server has. *)
   mutable announce_epoch : int;
   mutable last_announced : Snapshot.t option;
+  mutable last_measured : Snapshot.t option;
   last_sent : (Nodeid.t, int) Hashtbl.t;
   (* Incremental round-two state: pair winners over our table's own rows,
      repaired in O(changes) per ingested announcement. *)
@@ -112,7 +115,13 @@ let set_view t ~now v =
            deliberately dropped — their consumers (oracle mirrors,
            failover pacing) are keyed by view version and reset cleanly,
            and every row round two reads is stored anew in this view
-           before its first use. *)
+           before its first use.  So are the recommendation batches sent
+           and held ([rec_sent], [rec_held]), which is what that costs:
+           the first batch of a view goes in full, so where views change
+           faster than a few routing intervals, as with a joiner every
+           3 s, nearly every batch is a first one, and delta
+           recommendations save 3.8% of routing bytes (31.7% with a
+           static view). *)
         let route_hop = Array.make m (-1) and route_at = Array.make m neg_infinity in
         (match t.ctx with
         | None -> ()
@@ -160,6 +169,7 @@ let set_view t ~now v =
               announce_epoch =
                 2 + int_of_float (now /. Float.max 1e-6 t.config.routing_interval_s);
               last_announced = None;
+              last_measured = None;
               last_sent = Hashtbl.create 8;
               cache =
                 (if t.config.incremental_rendezvous && m >= 2 then
@@ -325,14 +335,12 @@ let announce_full t ctx ~now rank ~epoch snapshot =
     (Message.Link_state { view = View.version ctx.view; epoch; snapshot });
   emit_push t ctx rank
 
-(* Round one to one server: delta form when the server holds the previous
-   epoch and the delta actually is smaller than the [3n]-byte snapshot
-   (after a churn-heavy interval it may not be); full form otherwise. *)
+(* Round one to one server: the tick's delta, when it has one, goes to a
+   server holding the previous epoch; every other server gets the full
+   form. *)
 let announce_to t ctx ~now rank ~epoch ~delta snapshot =
   match delta with
-  | Some d
-    when Hashtbl.find_opt ctx.last_sent rank = Some (epoch - 1)
-         && Wire.Delta.payload_bytes d < Snapshot.payload_bytes snapshot ->
+  | Some d when Hashtbl.find_opt ctx.last_sent rank = Some (epoch - 1) ->
       Hashtbl.replace ctx.last_sent rank epoch;
       send_routed t ctx ~now rank
         (Message.Link_state_delta { view = View.version ctx.view; delta = d });
@@ -458,9 +466,26 @@ let tick t ~now =
   match t.ctx with
   | None -> ()
   | Some ctx ->
-      let snapshot = make_snapshot t ctx in
+      let measured = make_snapshot t ctx in
       let epoch = ctx.announce_epoch in
       let metric = t.config.metric in
+      (* One metric-aware diff per tick, of the measured row against the
+         previous announced one, feeds every consumer.  Applied to that
+         row, as a server applies the delta, it gives the new announced
+         row; under [Latency] a change of the loss byte alone stays out,
+         since nothing reads it.  That row is the only one used — our
+         table row, the cache, the trace, every delta and every full
+         snapshot — so announced content stays a function of the epoch.
+         The cache has held our own row since the previous tick of this
+         view exactly when [last_announced] is set. *)
+      let snapshot, diffed =
+        match (ctx.last_announced, ctx.last_measured) with
+        | Some prev, Some last ->
+            let changes, churn = Snapshot.diff_and_churn ~metric ~prev ~last ~next:measured in
+            let d = { Wire.Delta.owner = ctx.self; epoch; changes } in
+            (Wire.Delta.apply d prev, Some (d, churn))
+        | _ -> (measured, None)
+      in
       Table.set_own_row ctx.table snapshot ~epoch ~now;
       (match t.trace with
       | Some emit ->
@@ -473,30 +498,28 @@ let tick t ~now =
                  snapshot;
                })
       | None -> ());
-      (* One diff of this tick's snapshot against the previous one feeds
-         both consumers — the incremental cache repair and the delta
-         announcement — instead of each diffing the pair separately.  The
-         cache has held our own row since the previous tick of this view
-         exactly when [last_announced] is set. *)
-      let changes_prev =
-        match ctx.last_announced with
-        | Some prev when t.config.delta_link_state || Option.is_some ctx.cache ->
-            Some (Snapshot.diff ~prev ~next:snapshot)
-        | Some _ | None -> None
-      in
-      (match (ctx.cache, changes_prev) with
-      | Some cache, Some changes ->
-          Best_hop.Cache.update_row cache snapshot ~changed:(List.map fst changes)
+      (match (ctx.cache, diffed) with
+      | Some cache, Some (d, _) ->
+          Best_hop.Cache.update_row cache snapshot ~changed:(List.map fst d.Wire.Delta.changes)
       | Some cache, None -> Best_hop.Cache.set_row cache snapshot
       | None, _ -> ());
+      (* The form follows how far the measurement moved, not the delta's
+         size: a tick that changed as many cells as a whole-cell delta
+         could not carry more cheaply than the [3n]-byte snapshot goes out
+         in full, loss-only changes included.  Such ticks come after
+         churn or loss, and their full snapshots heal any server that
+         missed an epoch without waiting for it to ask. *)
       let delta =
-        if t.config.delta_link_state then
-          match changes_prev with
-          | Some changes -> Some { Wire.Delta.owner = ctx.self; epoch; changes }
-          | None -> None
-        else None
+        match diffed with
+        | Some (d, churn)
+          when t.config.delta_link_state
+               && Wire.Delta.header_bytes + (Wire.Delta.change_bytes * churn)
+                  < Snapshot.payload_bytes snapshot ->
+            Some d
+        | Some _ | None -> None
       in
       ctx.last_announced <- Some snapshot;
+      ctx.last_measured <- Some measured;
       ctx.announce_epoch <- epoch + 1;
       (* Round one: announce to default servers plus active failover servers. *)
       let failover_servers =

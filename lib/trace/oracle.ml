@@ -89,6 +89,10 @@ let check_name = function
   | Datagram_conservation -> "datagram-conservation"
   | View_agreement -> "view-agreement"
 
+let is_conservation = function
+  | Traffic_conservation | Datagram_conservation -> true
+  | Quorum_intersection | One_hop_optimality | View_agreement -> false
+
 let pp_violation ppf v =
   Format.fprintf ppf "t=%.3f [%s] %s" v.time (check_name v.check) v.detail
 

@@ -64,6 +64,12 @@ type check =
           epoch within a grace window (checked on demand via
           {!check_view_agreement}). *)
 
+val is_conservation : check -> bool
+(** Whether [check] is a conservation check ([Traffic_conservation] or
+    [Datagram_conservation]) — the accounting invariants, as opposed to
+    the routing and membership ones.  Consumers that count the two
+    families apart match here, so a new check kind is classified once. *)
+
 type violation = { time : float; check : check; detail : string }
 
 exception Violation of violation

@@ -136,6 +136,10 @@ let random_entry rng =
     let loss = [| 0.; 0.; 0.1; 0.5; 1. |].(Rng.int rng 5) in
     Entry.make ~latency_ms ~loss ~alive:true
 
+(* [Loss_sensitive] reads every field of a cell: a diff under it is the
+   whole-cell diff. *)
+let every_field = Metric.Loss_sensitive { retry_penalty_ms = 100. }
+
 (* Drive the cache the way a rendezvous server's router does, through a
    real [Table]: full ingests ([set_row]), deltas applied by copy (the
    first on an ingested row) or in place (every later one) and notified
@@ -175,7 +179,7 @@ let cache_matches_scan_property =
         (match !last_own with
         | Some prev ->
             Best_hop.Cache.update_row cache snap
-              ~changed:(List.map fst (Snapshot.diff ~prev ~next:snap))
+              ~changed:(List.map fst (Snapshot.diff ~metric:every_field ~prev ~next:snap))
         | None -> Best_hop.Cache.set_row cache snap);
         last_own := Some snap
       in
@@ -248,6 +252,117 @@ let cache_matches_scan_property =
       done;
       let _, _, updates, rescans = Best_hop.Cache.stats cache in
       updates + rescans > 0)
+
+(* The cache contract is "say so for every cell its metric reads".  Rows
+   change through a real [Table] — the server's own row replaced, client
+   rows by deltas, by copy and then in place — in four kinds of step:
+   a loss-only change of live cells, a latency change, a death and a
+   revival.  The cache is told of the ids of every step except a
+   loss-only one under [Latency], whose metric never reads the loss
+   byte; it may then hold a snapshot whose loss bytes the table has
+   since replaced.  After each step every answer must equal a fresh
+   [Best_hop.best_rows] scan of the table's current rows, hop and cost.
+   Under [Loss_sensitive] every change is told, as in the property
+   above. *)
+let cache_metric_visible_property =
+  QCheck.Test.make ~name:"cache told what its metric reads = rescan" ~count:100
+    QCheck.(triple (int_range 2 40) int bool)
+    (fun (n, seed, latency) ->
+      QCheck.assume (n >= 2);
+      let rng = Rng.make ~seed in
+      let metric = if latency then Metric.Latency else every_field in
+      let server = Rng.int rng n in
+      let table = Table.create ~n ~owner:server in
+      let cache = Best_hop.Cache.create ~n ~metric in
+      let now = ref 0. and epoch = ref 0 in
+      let clock () =
+        now := !now +. 1.;
+        incr epoch;
+        !epoch
+      in
+      Table.set_own_row table
+        (Snapshot.create ~owner:server (Array.init n (fun _ -> random_entry rng)))
+        ~epoch:(clock ()) ~now:!now;
+      for owner = 0 to n - 1 do
+        if owner <> server then
+          ignore
+            (Table.ingest table
+               (Snapshot.create ~owner (Array.init n (fun _ -> random_entry rng)))
+               ~epoch:(clock ()) ~now:!now
+              : bool)
+      done;
+      for i = 0 to n - 1 do
+        Best_hop.Cache.set_row cache (Option.get (Table.row table i))
+      done;
+      let pick_cells row pred =
+        List.filter (fun j -> j <> Snapshot.owner row && pred j) (List.init n Fun.id)
+        |> List.filter (fun _ -> Rng.bernoulli rng ~p:0.5)
+      in
+      (* One step on [owner]'s row: the changes and whether the cache
+         hears of them. *)
+      let step owner =
+        let row = Option.get (Table.row table owner) in
+        let alive j = Snapshot.reaches row j in
+        let kind = Rng.int rng 4 in
+        let changes =
+          match kind with
+          | 0 ->
+              (* loss only: same latency, another loss byte *)
+              List.map
+                (fun j ->
+                  let e = Snapshot.entry row j in
+                  let byte l = Float.round (l *. 254.) in
+                  let loss =
+                    List.find (fun l -> byte l <> byte e.Entry.loss) [ 0.; 0.1; 0.5; 1. ]
+                  in
+                  (j, { e with Entry.loss }))
+                (pick_cells row alive)
+          | 1 ->
+              List.map
+                (fun j ->
+                  let e = Snapshot.entry row j in
+                  (j, { e with Entry.latency_ms = float_of_int (1 + Rng.int rng 4) }))
+                (pick_cells row alive)
+          | 2 -> List.map (fun j -> (j, Entry.unreachable)) (pick_cells row alive)
+          | _ ->
+              List.map (fun j -> (j, random_entry rng)) (pick_cells row (fun j -> not (alive j)))
+        in
+        let told = not (kind = 0 && latency) in
+        let ids = List.map fst changes in
+        if owner = server then begin
+          let next = Snapshot.with_entries row changes in
+          Table.set_own_row table next ~epoch:(clock ()) ~now:!now;
+          if told then Best_hop.Cache.update_row cache next ~changed:ids
+        end
+        else begin
+          let stored = Option.get (Table.row_epoch table owner) in
+          ignore (clock ());
+          let d = { Wire.Delta.owner; epoch = stored + 1; changes } in
+          match Table.apply_delta table d ~now:!now with
+          | `Applied snap -> if told then Best_hop.Cache.update_row cache snap ~changed:ids
+          | `Stale | `Gap | `Malformed -> QCheck.Test.fail_report "delta not applied"
+        end
+      in
+      let check_all () =
+        let row i = Option.get (Table.row table i) in
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            if src <> dst then begin
+              let got = Best_hop.Cache.best cache ~src ~dst in
+              let want = Best_hop.best_rows metric ~src:(row src) ~dst:(row dst) in
+              if got <> want then
+                QCheck.Test.fail_reportf "n=%d (%d,%d): cache %d/%g, scan %d/%g" n src dst
+                  got.Best_hop.hop got.Best_hop.cost want.Best_hop.hop want.Best_hop.cost
+            end
+          done
+        done
+      in
+      check_all ();
+      for _step = 1 to 30 do
+        step (Rng.int rng n);
+        check_all ()
+      done;
+      true)
 
 let test_cache_drop_vector () =
   let row owner lat = snapshot_of_row ~owner ~n:3 lat in
@@ -731,6 +846,7 @@ let () =
         [
           Alcotest.test_case "drop vector" `Quick test_cache_drop_vector;
           qcheck cache_matches_scan_property;
+          qcheck cache_metric_visible_property;
           Alcotest.test_case "no second copy of a row (n=256)" `Quick test_cache_size;
         ] );
       ( "rendezvous",

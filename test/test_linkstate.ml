@@ -216,10 +216,15 @@ module Reference = struct
     List.iter (fun (j, e) -> store next j e) changes;
     next
 
-  let diff ~prev ~next =
-    List.filter
-      (fun (j, _) -> not (Entry.equal (entry prev j) (entry next j)))
-      (List.init (size prev) (fun j -> (j, entry next j)))
+  (* [Latency] reads only the cost it gives a cell; [Loss_sensitive]
+     reads the whole entry. *)
+  let diff ~metric ~prev ~next =
+    let differs j =
+      match (metric : Metric.t) with
+      | Metric.Latency -> not (Float.equal (cost prev metric j) (cost next metric j))
+      | Metric.Loss_sensitive _ -> not (Entry.equal (entry prev j) (entry next j))
+    in
+    List.filter (fun (j, _) -> differs j) (List.init (size prev) (fun j -> (j, entry next j)))
 
   let equal a b =
     a.owner = b.owner
@@ -227,7 +232,8 @@ module Reference = struct
     && List.for_all (fun j -> Entry.equal (entry a j) (entry b j)) (List.init (size a) Fun.id)
 end
 
-let metrics = [ Metric.Latency; Metric.Loss_sensitive { retry_penalty_ms = 100. } ]
+let every_field = Metric.Loss_sensitive { retry_penalty_ms = 100. }
+let metrics = [ Metric.Latency; every_field ]
 
 (* Entries that probe every edge of the 3-byte cell: latencies above the
    65534 ms ceiling and on half-millisecond rounding boundaries, losses of
@@ -303,8 +309,22 @@ let snapshot_matches_reference =
       agrees r s && agrees r2 s2 && agrees r2 s3
       && Snapshot.equal s s2 = Reference.equal r r2
       && Snapshot.equal s (Snapshot.create ~owner near) = Reference.equal r (Reference.create ~owner near)
-      && Snapshot.diff ~prev:s ~next:s2 = Reference.diff ~prev:r ~next:r2
-      && Snapshot.equal s2 (Snapshot.with_entries s (Snapshot.diff ~prev:s ~next:s2)))
+      && List.for_all
+           (fun metric ->
+             Snapshot.diff ~metric ~prev:s ~next:s2 = Reference.diff ~metric ~prev:r ~next:r2
+             (* the churn count rides in the same pass, against a third row *)
+             && Snapshot.diff_and_churn ~metric ~prev:s ~last:(Snapshot.create ~owner near) ~next:s2
+                = ( Reference.diff ~metric ~prev:r ~next:r2,
+                    List.length
+                      (Reference.diff ~metric:every_field ~prev:(Reference.create ~owner near)
+                         ~next:r2) )
+             && Snapshot.cost_vector
+                  (Snapshot.with_entries s (Snapshot.diff ~metric ~prev:s ~next:s2))
+                  metric
+                = Snapshot.cost_vector s2 metric)
+           metrics
+      && Snapshot.equal s2
+           (Snapshot.with_entries s (Snapshot.diff ~metric:every_field ~prev:s ~next:s2)))
 
 (* [of_wire] is today's decode path in one step: on arbitrary bytes and
    owners it equals [Wire.decode_entries] + [Snapshot.create], entry by
@@ -390,7 +410,8 @@ let snapshot_diff_roundtrip =
       let owner = Apor_util.Rng.int rng n in
       let prev = random_snapshot ~rng ~owner ~n in
       let next = random_snapshot ~rng ~owner ~n in
-      Snapshot.equal next (Snapshot.with_entries prev (Snapshot.diff ~prev ~next)))
+      Snapshot.equal next
+        (Snapshot.with_entries prev (Snapshot.diff ~metric:every_field ~prev ~next)))
 
 let delta_wire_roundtrip =
   QCheck.Test.make ~name:"delta decode (encode d) = d" ~count:200
@@ -400,7 +421,7 @@ let delta_wire_roundtrip =
       let owner = Apor_util.Rng.int rng n in
       let prev = random_snapshot ~rng ~owner ~n in
       let next = mutate_snapshot ~rng ~owner ~n prev in
-      let d = Wire.Delta.of_snapshots ~epoch:7 ~prev ~next in
+      let d = Wire.Delta.of_snapshots ~metric:every_field ~epoch:7 ~prev ~next in
       match Wire.Delta.decode (Wire.Delta.encode d) with
       | Error _ -> false
       | Ok d' ->
@@ -428,7 +449,7 @@ let delta_sequence_converges =
       ignore (Table.ingest table !snapshot ~epoch:0 ~now:0. : bool);
       for epoch = 1 to rounds do
         let next = mutate_snapshot ~rng ~owner ~n !snapshot in
-        let d = Wire.Delta.of_snapshots ~epoch ~prev:!snapshot ~next in
+        let d = Wire.Delta.of_snapshots ~metric:every_field ~epoch ~prev:!snapshot ~next in
         let now = float_of_int epoch in
         if Apor_util.Rng.bernoulli rng ~p:0.3 then
           (* the network ate this delta; the next one must hit a gap *)
@@ -516,7 +537,7 @@ let test_delta_smaller_than_snapshot_when_sparse () =
     Snapshot.with_entries prev
       [ (3, Entry.unreachable); (17, Entry.make ~latency_ms:5. ~loss:0. ~alive:true) ]
   in
-  let d = Wire.Delta.of_snapshots ~epoch:1 ~prev ~next in
+  let d = Wire.Delta.of_snapshots ~metric:every_field ~epoch:1 ~prev ~next in
   check_int "two changes" 2 (List.length d.Wire.Delta.changes);
   check_int "payload" 16 (Wire.Delta.payload_bytes d);
   check_bool "far below 3n" true (Wire.Delta.payload_bytes d < Snapshot.payload_bytes next)

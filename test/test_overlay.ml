@@ -627,14 +627,17 @@ let test_best_hop_to_self () =
 (* --- Router state ------------------------------------------------------------------ *)
 
 (* A router alone, with no network: a static view of ports [0, m), a
-   monitor that never probes (every peer alive until forced dead), and
-   effects that drop every send.  Time moves only when the test says. *)
-let bare_router ~m ~self =
-  let config = Config.quorum_default in
+   monitor that never probes (every peer alive until forced dead) unless
+   given peers, and effects that hand each probe to [send_probe] and each
+   message to [send] (by default dropped).  Time moves only when the test
+   says. *)
+let bare_router ?(metric = Config.quorum_default.Config.metric)
+    ?(send_probe = fun ~dst:_ ~seq:_ -> ()) ?(send = fun ~dst_port:_ _ -> ()) ~m ~self () =
+  let config = { Config.quorum_default with Config.metric } in
   let monitor =
     Monitor.create ~config ~self ~capacity:m ~rng:(Apor_util.Rng.make ~seed:1)
       {
-        Monitor.send_probe = (fun ~dst:_ ~seq:_ -> ());
+        Monitor.send_probe;
         set_wakeup = (fun ~at:_ -> ());
         on_peer_death = ignore;
         on_peer_recovery = ignore;
@@ -642,7 +645,7 @@ let bare_router ~m ~self =
   in
   let r =
     Router.create ~config ~self_port:self ~rng:(Apor_util.Rng.make ~seed:2) ~monitor
-      { Router.send = (fun ~dst_port:_ _ -> ()); set_tick_timer = (fun ~delay:_ -> ()) }
+      { Router.send; set_tick_timer = (fun ~delay:_ -> ()) }
   in
   Router.set_view r ~now:0. (View.create ~version:1 ~members:(List.init m Fun.id));
   (r, monitor)
@@ -657,7 +660,7 @@ let recommend r ~now ~src entries =
    connected.  Returns the failover servers in use after each tick from
    90 s (the end of warm-up) to [until]. *)
 let failover_servers ~candidates_recommend ~until =
-  let r, monitor = bare_router ~m:9 ~self:0 in
+  let r, monitor = bare_router ~m:9 ~self:0 () in
   Monitor.force_status monitor 2 ~up:false;
   Monitor.force_status monitor 6 ~up:false;
   Router.start r;
@@ -719,7 +722,7 @@ let rec_model_qcheck =
     (fun (self, dead, recs) ->
       let m = 95 in
       let grid = Apor_quorum.Grid.build m in
-      let r, monitor = bare_router ~m ~self in
+      let r, monitor = bare_router ~m ~self () in
       List.iter (fun p -> if p <> self then Monitor.force_status monitor p ~up:false) dead;
       let last = Hashtbl.create 64 in
       let remote = Config.quorum_default.Config.remote_failure_factor *. 15. in
@@ -780,6 +783,232 @@ let test_router_state_words () =
           Alcotest.failf "node %d: %d route words, bound %d" port w.Router.routes_words
             ((3 * n) + 8)
   done
+
+(* --- The announced row ----------------------------------------------------------- *)
+
+(* A router whose monitor really probes, over a scripted link with no
+   network: on the 3x3 grid of ports [0, 9), node 0 probes the other
+   eight, each probe is answered 20 ms later unless [lose port seq] says
+   it is lost, and the router ticks every routing interval from 15 s,
+   just after each port in [recommenders] recommended the direct path to
+   every destination, which keeps failover away from the pairs they
+   connect.  [advance] runs replies, probe wakeups and ticks in time
+   order up to and including [until]; [sent] collects the router's
+   messages, newest first, with their send times and what the monitor
+   measured then. *)
+type driven = {
+  router : Router.t;
+  monitor : Monitor.t;
+  mutable now : float;
+  mutable replies : (float * int * int) list;
+  mutable next_tick : float;
+  mutable sent : (float * int * Message.t * Apor_linkstate.Snapshot.t) list;
+  mutable lose : int -> int -> bool;
+  recommenders : int list;
+}
+
+(* What [monitor] measures right now, as node 0's snapshot. *)
+let measured monitor =
+  Apor_linkstate.Snapshot.create ~owner:0
+    (Array.init 9 (fun p ->
+         if p = 0 then Apor_linkstate.Entry.self else Monitor.entry_for monitor p))
+
+let driven_router ~metric ~recommenders =
+  let m = 9 in
+  let d = ref None in
+  let get () = Option.get !d in
+  let router, monitor =
+    bare_router ~metric
+      ~send_probe:(fun ~dst ~seq ->
+        let d = get () in
+        if not (d.lose dst seq) then d.replies <- (d.now +. 0.020, dst, seq) :: d.replies)
+      ~send:(fun ~dst_port msg ->
+        let d = get () in
+        d.sent <- (d.now, dst_port, msg, measured d.monitor) :: d.sent)
+      ~m ~self:0 ()
+  in
+  d :=
+    Some
+      {
+        router;
+        monitor;
+        now = 0.;
+        replies = [];
+        next_tick = Config.quorum_default.Config.routing_interval_s;
+        sent = [];
+        lose = (fun _ _ -> false);
+        recommenders;
+      };
+  Monitor.set_peers monitor ~now:0. (List.init (m - 1) (fun i -> i + 1));
+  Router.start router;
+  get ()
+
+let rec advance d ~until =
+  let reply = List.fold_left (fun acc (at, _, _) -> Float.min acc at) infinity d.replies in
+  let probe = Option.value (Monitor.next_due d.monitor) ~default:infinity in
+  let next = Float.min reply (Float.min probe d.next_tick) in
+  if next > until then d.now <- until
+  else begin
+    d.now <- next;
+    if reply = next then begin
+      let due, later = List.partition (fun (at, _, _) -> at = next) d.replies in
+      d.replies <- later;
+      List.iter (fun (_, src, seq) -> Monitor.handle_reply d.monitor ~now:next ~src ~seq) due
+    end
+    else if probe = next then Monitor.on_wakeup d.monitor ~now:next
+    else begin
+      List.iter
+        (fun k -> recommend d.router ~now:next ~src:k (List.init 8 (fun i -> (i + 1, i + 1))))
+        d.recommenders;
+      Router.on_tick_timer d.router ~now:next;
+      d.next_tick <- next +. Config.quorum_default.Config.routing_interval_s
+    end;
+    advance d ~until
+  end
+
+(* Lose one probe to each of [ports] once every link has settled, and
+   return the link-state messages of the first tick after the timeouts,
+   whose only measured changes are those cells' loss bytes: 0 before, the
+   timeout's 0.5 and, if the rapid re-probe's reply came in first, 0.25
+   after. *)
+let loss_only_tick ?(ports = [ 5 ]) ~metric () =
+  let d = driven_router ~metric ~recommenders:[ 1; 2; 3; 6 ] in
+  advance d ~until:100.;
+  let before = measured d.monitor in
+  let armed = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace armed p ()) ports;
+  d.lose <-
+    (fun port _ ->
+      Hashtbl.mem armed port
+      && begin
+           Hashtbl.remove armed port;
+           true
+         end);
+  while List.exists (fun p -> Monitor.loss d.monitor p = 0.) ports do
+    advance d ~until:(d.now +. 1.)
+  done;
+  d.sent <- [];
+  advance d ~until:d.next_tick;
+  let after = measured d.monitor in
+  check_bool "the loss bytes moved" false (Apor_linkstate.Snapshot.equal before after);
+  check_bool "and only they"
+    true
+    (Apor_linkstate.Snapshot.equal before
+       (Apor_linkstate.Snapshot.with_entries after
+          (List.map (fun p -> (p, Apor_linkstate.Snapshot.entry before p)) ports)));
+  ( before,
+    List.filter_map
+      (fun (_, dst, msg, _) ->
+        match msg with
+        | Message.Link_state_delta _ | Message.Link_state _ -> Some (dst, msg)
+        | _ -> None)
+      (List.rev d.sent) )
+
+let test_loss_only_tick_sends_empty_deltas () =
+  let servers = [ 1; 2; 3; 6 ] in
+  let _, sent = loss_only_tick ~metric:Apor_linkstate.Metric.Latency () in
+  Alcotest.(check (list int)) "one announcement per server" servers (List.map fst sent);
+  List.iter
+    (fun (dst, msg) ->
+      match msg with
+      | Message.Link_state_delta { delta = { Apor_linkstate.Wire.Delta.changes = []; _ }; _ } ->
+          check_int "a zero-change delta is 52 B" 52 (Message.size_bytes msg)
+      | msg -> Alcotest.failf "to %d: %a, not a zero-change delta" dst Message.pp msg)
+    sent;
+  (* The metric that reads the loss byte announces it. *)
+  List.iter
+    (fun (dst, msg) ->
+      match msg with
+      | Message.Link_state_delta
+          { delta = { Apor_linkstate.Wire.Delta.changes = [ (5, _) ]; _ }; _ } ->
+          check_int "one change, 57 B" 57 (Message.size_bytes msg)
+      | msg -> Alcotest.failf "to %d: %a, not cell 5 alone" dst Message.pp msg)
+    (snd
+       (loss_only_tick ~metric:(Apor_linkstate.Metric.Loss_sensitive { retry_penalty_ms = 100. }) ()))
+
+(* On 9 nodes a whole-cell delta of 5 changes (6 + 25 B) outweighs the
+   27-byte snapshot.  A tick whose measurement moved in 5 cells, loss
+   bytes alone, goes out in full to every server, as it did when deltas
+   carried whole cells, and the snapshot is the announced row: the
+   latency-visible delta was empty, so it is the row announced before. *)
+let test_loss_heavy_tick_goes_in_full () =
+  let before, sent =
+    loss_only_tick ~ports:[ 1; 3; 4; 5; 7 ] ~metric:Apor_linkstate.Metric.Latency ()
+  in
+  Alcotest.(check (list int)) "one announcement per server" [ 1; 2; 3; 6 ] (List.map fst sent);
+  List.iter
+    (fun (dst, msg) ->
+      match msg with
+      | Message.Link_state { snapshot; _ } ->
+          check_bool "the announced row" true (Apor_linkstate.Snapshot.equal before snapshot)
+      | msg -> Alcotest.failf "to %d: %a, not a full snapshot" dst Message.pp msg)
+    sent
+
+(* Links 0-2 and 0-6 lose every probe, so 8 loses both crossing cells and
+   0 recruits failover servers, each first sent a full snapshot; links to
+   4, 5 and 7 lose every third probe, so the measured loss bytes move
+   while the latencies stay put.  Twice, a server asks for a resync.
+   Every full snapshot stamped [e] must be, byte for byte, the row server
+   1, a default server sent only deltas after the first tick, rebuilt at
+   [e] — also when it differs from what the monitor measured at the
+   time. *)
+let test_full_snapshots_match_delta_rows () =
+  let open Apor_linkstate in
+  let d = driven_router ~metric:Metric.Latency ~recommenders:[ 1; 3 ] in
+  d.lose <-
+    (fun port seq ->
+      port = 2 || port = 6 || ((port = 4 || port = 5 || port = 7) && seq mod 3 = 1));
+  advance d ~until:150.;
+  let resync ~server =
+    Router.handle_message d.router ~now:d.now ~src_port:server
+      (Message.Ls_resync { view = 1; owner = 0 })
+  in
+  resync ~server:3;
+  advance d ~until:260.;
+  resync ~server:1;
+  advance d ~until:400.;
+  let table = Table.create ~n:9 ~owner:1 and rebuilt = Hashtbl.create 32 in
+  let fulls = ref [] in
+  List.iter
+    (fun (at, dst, msg, now_measured) ->
+      match msg with
+      | Message.Link_state { epoch; snapshot; _ } ->
+          if dst = 1 then begin
+            check_bool "server 1 stores it" true (Table.ingest table snapshot ~epoch ~now:at);
+            Hashtbl.replace rebuilt epoch (Snapshot.copy snapshot)
+          end;
+          fulls := (at, dst, epoch, snapshot, now_measured) :: !fulls
+      | Message.Link_state_delta { delta; _ } when dst = 1 -> (
+          match Table.apply_delta table delta ~now:at with
+          | `Applied row -> Hashtbl.replace rebuilt delta.Wire.Delta.epoch (Snapshot.copy row)
+          | `Stale | `Gap | `Malformed -> Alcotest.fail "server 1 missed a delta")
+      | _ -> ())
+    (List.rev d.sent);
+  (* the first tick's full snapshots are the only ones before 16 s *)
+  let later = List.filter (fun (at, _, _, _, _) -> at > 16.) !fulls in
+  let failover = List.filter (fun (_, dst, _, _, _) -> not (List.mem dst [ 1; 2; 3; 6 ])) later in
+  check_bool
+    (Printf.sprintf "failover snapshots sent (%d)" (List.length failover))
+    true (failover <> []);
+  check_int "resync replies" 2
+    (List.length (List.filter (fun (_, dst, _, _, _) -> dst = 1 || dst = 3) later));
+  List.iter
+    (fun (at, dst, epoch, snapshot, _) ->
+      match Hashtbl.find_opt rebuilt epoch with
+      | Some row ->
+          if not (Snapshot.equal row snapshot) then
+            Alcotest.failf "t=%.3f: the full snapshot to %d at epoch %d is not the delta-built row"
+              at dst epoch
+      | None -> Alcotest.failf "t=%.3f: epoch %d never reached server 1" at epoch)
+    later;
+  (* Some of them differ from what was measured when they were sent: a
+     full snapshot carrying the measurement would fail the check above
+     there. *)
+  let stale = List.filter (fun (_, _, _, snapshot, m) -> not (Snapshot.equal snapshot m)) later in
+  check_bool
+    (Printf.sprintf "%d of %d full snapshots differ from the measurement" (List.length stale)
+       (List.length later))
+    true (stale <> [])
 
 (* --- Delta recommendations ---------------------------------------------------------- *)
 
@@ -1059,6 +1288,12 @@ let () =
             test_router_failover_silent_server_replaced;
           QCheck_alcotest.to_alcotest rec_model_qcheck;
           Alcotest.test_case "state words linear in n" `Quick test_router_state_words;
+          Alcotest.test_case "loss-only tick sends empty deltas" `Quick
+            test_loss_only_tick_sends_empty_deltas;
+          Alcotest.test_case "loss-heavy tick goes in full" `Quick
+            test_loss_heavy_tick_goes_in_full;
+          Alcotest.test_case "full snapshots = delta-built rows" `Quick
+            test_full_snapshots_match_delta_rows;
         ] );
       ( "rec-delta",
         [

@@ -374,6 +374,71 @@ let test_regression_25_nodes_planetlab () =
       | None -> ())
     (Query.failover_spans tr)
 
+(* 25 nodes under PlanetLab churn on lossy links for 300 s, with the
+   oracle attached.  Returns the link-state delta changes that move only
+   a cell's loss byte: each delta's changes are compared with its
+   owner's previous announced row, the own row of the [Ls_ingest] before
+   the tick's. *)
+let loss_only_delta_changes ~metric =
+  let config = { Config.quorum_default with Config.metric } in
+  let world = Internet.generate ~seed:42 ~n:25 () in
+  let tr = Collector.create () in
+  let oracle = Oracle.create ~metric ~staleness_s:(Config.staleness_s config) () in
+  Oracle.attach oracle tr;
+  let own = Hashtbl.create 32 (* owner -> (previous, current) announced rows *) in
+  Collector.subscribe tr (fun tv ->
+      match tv.Collector.event with
+      | Event.Ls_ingest { node; owner; snapshot; _ } when node = owner ->
+          let cur = Option.map snd (Hashtbl.find_opt own owner) in
+          Hashtbl.replace own owner (cur, snapshot)
+      | _ -> ());
+  let c =
+    Cluster.create ~config ~rtt_ms:world.Internet.rtt_ms ~loss:world.Internet.loss ~trace:tr
+      ~seed:42 ()
+  in
+  let deltas = ref 0 and loss_only = ref 0 in
+  for port = 0 to 24 do
+    Runtime.set_tap
+      (Node.runtime (Cluster.node c port))
+      (Some
+         (fun _ _ outputs ->
+           List.iter
+             (function
+               | Node_core.Send { msg = Message.Link_state_delta { delta; _ }; _ } -> (
+                   incr deltas;
+                   match Hashtbl.find_opt own port with
+                   | Some (Some prev, _) ->
+                       List.iter
+                         (fun (j, (e : Entry.t)) ->
+                           let was = Snapshot.entry prev j in
+                           if
+                             e.Entry.alive && was.Entry.alive
+                             && e.Entry.latency_ms = was.Entry.latency_ms
+                             && e.Entry.loss <> was.Entry.loss
+                           then incr loss_only)
+                         delta.Wire.Delta.changes
+                   | Some (None, _) | None -> ())
+               | _ -> ())
+             outputs))
+  done;
+  let (_ : Failures.t) =
+    Failures.install ~engine:(Cluster.engine c) ~profile:Failures.planetlab ~seed:42 ()
+  in
+  Cluster.start c;
+  Cluster.run_until c 300.;
+  check_int "zero violations" 0 (Oracle.violation_count oracle);
+  check_bool "recommendations checked" true (Oracle.recommendations_checked oracle > 1000);
+  check_bool (Printf.sprintf "deltas sent (%d)" !deltas) true (!deltas > 1000);
+  !loss_only
+
+let test_loss_sensitive_churn () =
+  let carried =
+    loss_only_delta_changes ~metric:(Metric.Loss_sensitive { retry_penalty_ms = 100. })
+  in
+  check_bool (Printf.sprintf "loss-sensitive deltas carry loss changes (%d)" carried) true
+    (carried > 100);
+  check_int "latency deltas carry none" 0 (loss_only_delta_changes ~metric:Metric.Latency)
+
 (* The 25-node, 900 s run with PlanetLab link failures shared by the live
    tests below: links fail and recover throughout, so rows change every
    routing interval and most announcements travel as deltas. *)
@@ -538,5 +603,6 @@ let () =
             test_delta_ingest_snapshots_kept;
           Alcotest.test_case "query matches engine accounting" `Slow
             test_query_counts_match_engine;
+          Alcotest.test_case "loss-sensitive churn" `Slow test_loss_sensitive_churn;
         ] );
     ]
